@@ -259,10 +259,6 @@ def _cmd_tv_cyclic(args) -> int:
     return 0
 
 
-def _report_payload(report) -> dict:
-    return _sanitize(report)
-
-
 def _cmd_bounds(args) -> int:
     n = args.n
     reports = []
@@ -274,14 +270,14 @@ def _cmd_bounds(args) -> int:
     if args.k is not None and 2 * args.k <= n:
         for variant in ("stated", "summary"):
             reports.append(
-                _report_payload(bounds_mod.coupling_upper_bound_steps(n, args.k, c_upper, variant))
+                _sanitize(bounds_mod.coupling_upper_bound_steps(n, args.k, c_upper, variant))
             )
     else:
         skipped("coupling-upper", "requires --k with k <= n/2")
 
     if args.eps is not None:
         if n % 4 == 2:
-            reports.append(_report_payload(bounds_mod.half_flip_step_bound(n, args.eps)))
+            reports.append(_sanitize(bounds_mod.half_flip_step_bound(n, args.eps)))
         else:
             skipped("half-flip", "requires n = 2 mod 4")
     else:
@@ -290,7 +286,7 @@ def _cmd_bounds(args) -> int:
     if args.k is not None:
         c_low = args.c if args.c is not None else min(1.0, math.log(n) / 4)
         if 0 < c_low <= math.log(n) / 4:
-            reports.append(_report_payload(bounds_mod.second_moment_lower_bound(n, args.k, c_low)))
+            reports.append(_sanitize(bounds_mod.second_moment_lower_bound(n, args.k, c_low)))
         else:
             skipped("second-moment-lower", f"c={c_low:g} outside (0, ln(n)/4]")
     else:
@@ -299,12 +295,12 @@ def _cmd_bounds(args) -> int:
     if args.m is not None:
         c_cyc = args.c if args.c is not None else 1.0
         if args.k is not None:
-            reports.append(_report_payload(bounds_mod.cyclic_step_bound(n, args.m, args.k, c_cyc)))
+            reports.append(_sanitize(bounds_mod.cyclic_step_bound(n, args.m, args.k, c_cyc)))
         else:
             skipped("cyclic", "requires --k")
         for variant in ("stated", "conservative"):
             reports.append(
-                _report_payload(bounds_mod.comparison_step_bound(n, args.m, c_cyc, variant))
+                _sanitize(bounds_mod.comparison_step_bound(n, args.m, c_cyc, variant))
             )
     else:
         skipped("cyclic", "requires --m")
@@ -402,51 +398,48 @@ def _cmd_couple(args) -> int:
     return 0
 
 
+def _need(args, flag: str):
+    value = getattr(args, flag)
+    if value is None:
+        raise ValueError(f"verify --lemma {args.lemma} requires --{flag}")
+    return value
+
+
+def _general_certificate(args):
+    parts = tuple(int(p) for p in args.parts.split(",")) if args.parts else tuple(range(1, 10))
+    return verify_pick_fraction_bounds(args.n_max, parts)
+
+
+# lemma -> (certificate builder, predicate that the certificate holds)
+_LEMMAS = {
+    "probineq": (
+        lambda args: verify_half_flip_pick_bounds(_need(args, "n")),
+        lambda cert: not cert.has_violations,
+    ),
+    "general": (_general_certificate, lambda cert: not cert.has_violations),
+    "eig34": (
+        lambda args: verify_eigenvalue_three_quarters(_need(args, "n")),
+        lambda cert: cert.bound_holds and cert.odd_levels_equal_p and cert.closed_form_matches,
+    ),
+    "marginal": (
+        lambda args: marginal_check(_need(args, "n"), _need(args, "k")),
+        lambda cert: cert.ok,
+    ),
+    "symmetry": (
+        lambda args: verify_symmetry_sweep(_need(args, "n")),
+        lambda cert: cert["ok"],
+    ),
+}
+
+
 def _cmd_verify(args) -> int:
     lemma = args.lemma
-
-    def need(flag, value):
-        if value is None:
-            raise ValueError(f"verify --lemma {lemma} requires --{flag}")
-        return value
-
-    if lemma == "probineq":
-        cert = verify_half_flip_pick_bounds(need("n", args.n))
-        payload = _sanitize(cert)
-        payload["lemma"] = lemma
-        payload["counterexamples_found"] = cert.has_violations
-        bad = cert.has_violations
-    elif lemma == "general":
-        parts = tuple(int(p) for p in args.parts.split(",")) if args.parts else tuple(range(1, 10))
-        cert = verify_pick_fraction_bounds(args.n_max, parts)
-        payload = _sanitize(cert)
-        payload["lemma"] = lemma
-        payload["counterexamples_found"] = cert.has_violations
-        bad = cert.has_violations
-    elif lemma == "eig34":
-        cert = verify_eigenvalue_three_quarters(need("n", args.n))
-        ok = cert.bound_holds and cert.odd_levels_equal_p and cert.closed_form_matches
-        payload = _sanitize(cert)
-        payload["lemma"] = lemma
-        payload["counterexamples_found"] = not ok
-        bad = not ok
-    elif lemma == "marginal":
-        cert = marginal_check(need("n", args.n), need("k", args.k))
-        payload = _sanitize(cert)
-        payload["lemma"] = lemma
-        payload["counterexamples_found"] = not cert.ok
-        bad = not cert.ok
-    else:  # symmetry
-        cert = verify_symmetry_sweep(need("n", args.n))
-        payload = dict(_sanitize(cert))
-        payload["lemma"] = lemma
-        payload["counterexamples_found"] = not cert["ok"]
-        bad = not cert["ok"]
-
+    build, holds = _LEMMAS[lemma]
+    cert = build(args)
+    bad = not holds(cert)
     # fixed key order: lemma first, verdict second, certificate body after
-    ordered = {"lemma": payload.pop("lemma"), "counterexamples_found": payload.pop("counterexamples_found")}
-    ordered.update(payload)
-    _emit(args, f"verify_{lemma}", None, None, ordered)
+    payload = {"lemma": lemma, "counterexamples_found": bad, **_sanitize(cert)}
+    _emit(args, f"verify_{lemma}", None, None, payload)
     print(f"verify {lemma}: {'counterexamples found' if bad else 'ok'}")
     return 2 if bad else 0
 
@@ -501,11 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_couple)
 
     p = sub.add_parser("verify", help="exact lemma certificates")
-    p.add_argument(
-        "--lemma",
-        required=True,
-        choices=("probineq", "general", "eig34", "marginal", "symmetry"),
-    )
+    p.add_argument("--lemma", required=True, choices=tuple(_LEMMAS))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--n-max", dest="n_max", type=int, default=150)

@@ -35,7 +35,7 @@ from .numerics import (
     hypergeom_numerators,
     log_binom,
 )
-from .spectrum import CyclicWalkSpec, WalkSpec
+from .spectrum import CyclicWalkSpec, WalkSpec, cube_eigen_numerators
 
 
 class WeightDistribution:
@@ -184,13 +184,11 @@ def flip_weight_kernel(spec: WalkSpec, exact: bool | None = None) -> WeightKerne
         return WeightKernel(n, "flip", rows=rows, den=den, meta={"k": k, "p": p})
     pf = float(p)
     mat = np.zeros((n + 1, n + 1))
-    logC = log_binom(n, k).log_value
+    logC = log_binom(n, k)
     for w in range(n + 1):
         mat[w, w] += pf
         for i in range(max(0, k - (n - w)), min(w, k) + 1):
-            pr = math.exp(
-                log_binom(w, i).log_value + log_binom(n - w, k - i).log_value - logC
-            )
+            pr = math.exp(log_binom(w, i) + log_binom(n - w, k - i) - logC)
             mat[w, w + k - 2 * i] += (1.0 - pf) * pr
     return WeightKernel(n, "flip", matrix=mat, meta={"k": k, "p": p})
 
@@ -226,7 +224,7 @@ def evolve(dist: WeightDistribution, kernel: WeightKernel, steps: int) -> Weight
 
 def _uniform_weight_float(n: int) -> np.ndarray:
     ln2n = n * math.log(2.0)
-    return np.array([math.exp(log_binom(n, w).log_value - ln2n) for w in range(n + 1)])
+    return np.array([math.exp(log_binom(n, w) - ln2n) for w in range(n + 1)])
 
 
 def tv_to_uniform(dist: WeightDistribution):
@@ -260,7 +258,7 @@ def l2_to_uniform(dist: WeightDistribution):
     for w, v in enumerate(dist.vec):
         fv = float(v)
         if fv:
-            terms.append(fv * fv * math.exp(ln2n - log_binom(n, w).log_value))
+            terms.append(fv * fv * math.exp(ln2n - log_binom(n, w)))
     return math.fsum(terms) - 1.0
 
 
@@ -297,31 +295,16 @@ def brute_force_dist(spec: WalkSpec, l: int) -> FullDistribution:
     No weight symmetry is assumed: the step operator is applied to all 2^n
     states.  Guarded to n <= BRUTE_FORCE_MAX_N.
     """
-    n, k, p = spec.n, spec.k, spec.p
-    if n > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"brute_force_dist is limited to n <= {BRUTE_FORCE_MAX_N}, got n={n}")
-    if l < 0:
-        raise ValueError(f"brute_force_dist requires l >= 0, got l={l}")
-    a, q = p.numerator, p.denominator
-    C = math.comb(n, k)
-    hold_num = a * C
-    move_num = q - a
-    N = 1 << n
-    nums = [0] * N
-    nums[0] = 1
-    den = 1
-    for _ in range(l):
-        flip_sum = _subset_flip_sum(nums, n, k)
-        nums = [hold_num * v + move_num * t for v, t in zip(nums, flip_sum)]
-        den *= q * C
-    return FullDistribution(n, tuple(nums), den)
+    for _, dist in brute_force_curve(spec, l):
+        pass
+    return dist
 
 
 def brute_force_curve(spec: WalkSpec, lmax: int):
     """Yield (l, FullDistribution) for l = 0..lmax, stepping once per l.
 
-    Same state evolution as brute_force_dist without recomputing the prefix
-    for every l; intended for oracle sweeps over whole curves.
+    Guarded to n <= BRUTE_FORCE_MAX_N; intended for oracle sweeps over whole
+    curves, since each step reuses the previous state.
     """
     n, k, p = spec.n, spec.k, spec.p
     if n > BRUTE_FORCE_MAX_N:
@@ -393,15 +376,13 @@ def spectral_dist(spec: WalkSpec, l: int, max_n: int = EXACT_BACKEND_MAX_N) -> W
     alternating sum cancels catastrophically in floats, and the float
     regime is served by evolve() on the lumped kernel instead.
     """
-    n, k, p = spec.n, spec.k, spec.p
+    n = spec.n
     if n > max_n:
         raise ValueError(f"spectral_dist is exact-only and limited to n <= {max_n}, got n={n}")
     if l < 0:
         raise ValueError(f"spectral_dist requires l >= 0, got l={l}")
-    a, q = p.numerator, p.denominator
-    C = math.comb(n, k)
+    eig_nums, eig_den = cube_eigen_numerators(spec)
     kap = kraw_integer_table(n)
-    eig_nums = [a * C + (q - a) * kap[k][j] for j in range(n + 1)]
     pw = [e**l for e in eig_nums]
     mult = binom_row(n)
     nums = []
@@ -410,7 +391,7 @@ def spectral_dist(spec: WalkSpec, l: int, max_n: int = EXACT_BACKEND_MAX_N) -> W
         for j in range(n + 1):
             s += kap[j][w] * pw[j]
         nums.append(mult[w] * s)
-    den = (q * C) ** l * (1 << n)
+    den = eig_den**l * (1 << n)
     return WeightDistribution(n, nums=nums, den=den)
 
 

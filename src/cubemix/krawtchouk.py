@@ -4,14 +4,14 @@ K_j(x) here denotes the degree-j polynomial with K_j(0) = 1:
 
     K_j(x) = sum_a (-1)^a C(j,a) C(n-j, x-a) / C(n,x)
 
-Two integer-level facts drive the fast paths and are verified exactly by the
-test suite rather than assumed:
+The integer-level fact that drives the character inversion is verified
+exactly by the test suite rather than assumed:
 
   * self-duality: K_j(x) = K_x(j); the integer table
     kappa_j(x) = sum_a (-1)^a C(x,a) C(n-x, j-a) = C(n,j) K_j(x) collects
-    the z^j coefficients of (1-z)^x (1+z)^(n-x);
-  * the three-term recurrence (n-j) K_{j+1}(x) = (n-2x) K_j(x) - j K_{j-1}(x)
-    with seeds K_0 = 1, K_1 = 1 - 2x/n reproduces the defining sum.
+    the z^j coefficients of (1-z)^x (1+z)^(n-x).
+
+Eigenvalues of the cube walk are built in spectrum.cube_eigen_numerators.
 """
 
 from __future__ import annotations
@@ -37,23 +37,6 @@ def kraw_eval(n: int, j: int, x: int) -> Fraction:
         term = rj[a] * rnj[x - a]
         num = num - term if a & 1 else num + term
     return Fraction(num, math.comb(n, x))
-
-
-def kraw_table(n: int, x: int) -> tuple[Fraction, ...]:
-    """(K_0(x), ..., K_n(x)) via the three-term recurrence."""
-    _check_point(n, 0, x)
-    if n == 0:
-        return (Fraction(1),)
-    vals = [Fraction(1), Fraction(n - 2 * x, n)]
-    for j in range(1, n):
-        nxt = ((n - 2 * x) * vals[j] - j * vals[j - 1]) / (n - j)
-        vals.append(nxt)
-    return tuple(vals)
-
-
-def kraw_recurrence_eval(n: int, j: int, x: int) -> Fraction:
-    _check_point(n, j, x)
-    return kraw_table(n, x)[j]
 
 
 def kraw_integer_table(n: int) -> list[list[int]]:

@@ -5,9 +5,9 @@ Two numeric regimes are used throughout the package:
   * exact: arbitrary-precision rationals (fractions.Fraction) and plain
     Python integers.  Every probability identity checked in this regime is
     checked without rounding.
-  * log-space floats: for walks too large for rational arithmetic, values
-    are carried as natural logarithms with an explicit sign (LogProb) and
-    sums are accumulated with math.fsum, which is exactly rounded.
+  * log-space floats: for walks too large for rational arithmetic, positive
+    magnitudes are carried as natural logarithms (plain floats) and sums are
+    accumulated with math.fsum, which is exactly rounded.
 
 All logarithms are natural logs.  The default crossover between the two
 regimes is EXACT_BACKEND_MAX_N; callers can override it per call.
@@ -16,7 +16,6 @@ regimes is EXACT_BACKEND_MAX_N; callers can override it per call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -49,77 +48,8 @@ def binom_row(n: int) -> tuple[int, ...]:
     return tuple(math.comb(n, i) for i in range(n + 1))
 
 
-@dataclass(frozen=True)
-class LogProb:
-    """A signed magnitude in log-space: sign * exp(log_value).
-
-    sign is -1, 0 or +1; log_value is ignored when sign is 0.
-    """
-
-    sign: int
-    log_value: float
-
-    ZERO: "LogProb" = None  # set below
-
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "LogProb":
-        if f == 0:
-            return cls.ZERO
-        sign = 1 if f > 0 else -1
-        # math.log accepts arbitrarily large ints, so this stays accurate
-        # even when the fraction itself overflows a float.
-        return cls(sign, math.log(abs(f.numerator)) - math.log(f.denominator))
-
-    @classmethod
-    def from_float(cls, x: float) -> "LogProb":
-        if x == 0.0:
-            return cls.ZERO
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-    def to_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        try:
-            return self.sign * math.exp(self.log_value)
-        except OverflowError:
-            return self.sign * math.inf
-
-    __float__ = to_float
-
-    def __mul__(self, other: "LogProb") -> "LogProb":
-        if self.sign == 0 or other.sign == 0:
-            return LogProb.ZERO
-        return LogProb(self.sign * other.sign, self.log_value + other.log_value)
-
-    def __pow__(self, m: int) -> "LogProb":
-        if self.sign == 0:
-            return LogProb.ZERO if m > 0 else LogProb(1, 0.0)
-        sign = 1 if (self.sign > 0 or m % 2 == 0) else -1
-        return LogProb(sign, self.log_value * m)
-
-    def __neg__(self) -> "LogProb":
-        return LogProb(-self.sign, self.log_value)
-
-    def __add__(self, other: "LogProb") -> "LogProb":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        a, b = self, other
-        if a.sign == b.sign:
-            hi, lo = (a, b) if a.log_value >= b.log_value else (b, a)
-            return LogProb(a.sign, hi.log_value + math.log1p(math.exp(lo.log_value - hi.log_value)))
-        if a.log_value == b.log_value:
-            return LogProb.ZERO
-        hi, lo = (a, b) if a.log_value > b.log_value else (b, a)
-        return LogProb(hi.sign, hi.log_value + math.log1p(-math.exp(lo.log_value - hi.log_value)))
-
-
-LogProb.ZERO = LogProb(0, -math.inf)
-
-
-def log_binom(n: int, k: int) -> LogProb:
-    """ln C(n, k) as a LogProb.
+def log_binom(n: int, k: int) -> float:
+    """ln C(n, k).
 
     Uses lgamma; relative accuracy of the log value is a few ulp, verified
     against the big-integer oracle log(comb(n, k)) in the test suite.
@@ -127,26 +57,13 @@ def log_binom(n: int, k: int) -> LogProb:
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"log_binom domain error: n={n}, k={k}")
     if k == 0 or k == n:
-        return LogProb(1, 0.0)
-    lv = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    return LogProb(1, lv)
+        return 0.0
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def hypergeom_support(n: int, y: int, k: int) -> range:
     """Integer support of |S ∩ Y| for a uniform k-subset S and |Y| = y."""
     return range(max(0, k - (n - y)), min(y, k) + 1)
-
-
-def hypergeom_pmf(n: int, y: int, k: int, i: int) -> Fraction:
-    """P(|S ∩ Y| = i) = C(y,i) C(n-y,k-i) / C(n,k), exact.
-
-    Zero off-support; raises on parameters outside 0 <= y <= n, 1 <= k <= n.
-    """
-    if not (0 <= y <= n) or not (1 <= k <= n):
-        raise ValueError(f"hypergeom_pmf domain error: n={n}, y={y}, k={k}")
-    if i < 0 or i > k or i > y or k - i > n - y:
-        return Fraction(0)
-    return Fraction(math.comb(y, i) * math.comb(n - y, k - i), math.comb(n, k))
 
 
 def hypergeom_numerators(n: int, y: int, k: int) -> dict[int, int]:
@@ -174,16 +91,3 @@ def cmp_with_ln2(q: Fraction) -> int:
     if q >= LN2_HI:
         return 1
     raise ArithmeticError(f"q={q} is too close to ln 2 for the stored brackets")
-
-
-def cmp_with_sqrt2(q: Fraction) -> int:
-    """Sign of q - sqrt(2), exact."""
-    if q < 0:
-        return -1
-    d = q * q - 2
-    return (d > 0) - (d < 0)
-
-
-def fsum_abs_dev(values, refs) -> float:
-    """0.5 * sum |v - r| with exactly rounded float accumulation."""
-    return 0.5 * math.fsum(abs(v - r) for v, r in zip(values, refs))

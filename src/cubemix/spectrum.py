@@ -8,6 +8,7 @@ on (Z/mZ)^n picks a uniform k-subset and adds independent uniform digits;
 its eigenvalue on a character of support size w is C(n-w,k)/C(n,k)
 (independent of m), with multiplicity C(n,w)(m-1)^w.
 
+Every cube eigenvalue comes from one integer table, cube_eigen_numerators.
 Exact rational spectra are the default up to EXACT_BACKEND_MAX_N
 coordinates; beyond that, bound evaluation switches to log-space floats
 with exactly rounded accumulation (math.fsum).
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .krawtchouk import kraw_eval, kraw_half, kraw_table
+from .krawtchouk import kraw_half
 from .numerics import EXACT_BACKEND_MAX_N, binom_row, log_binom
 
 
@@ -81,9 +82,30 @@ class SpectrumTable:
         return out
 
 
+def cube_eigen_numerators(spec: WalkSpec) -> tuple[list[int], int]:
+    """Integer numerators of every cube eigenvalue over one denominator.
+
+    Returns (nums, den) with eigenvalue_j = nums[j] / den for j = 0..n, where
+    nums[j] = a C(n,k) + (q-a) kappa_j, p = a/q and den = q C(n,k).  The
+    integers kappa_j = C(n,k) K_j(k) follow the three-term recurrence
+    (n-j) kappa_{j+1} = (n-2k) kappa_j - j kappa_{j-1}, whose divisions are
+    exact, so no rounding or gcd work happens at any n.
+    """
+    n, k = spec.n, spec.k
+    a, q = spec.p.numerator, spec.p.denominator
+    C = math.comb(n, k)
+    kap = [C, C * (n - 2 * k) // n]
+    for j in range(1, n):
+        kap.append(((n - 2 * k) * kap[j] - j * kap[j - 1]) // (n - j))
+    return [a * C + (q - a) * v for v in kap], q * C
+
+
 def cube_eigenvalue(spec: WalkSpec, j: int) -> Fraction:
-    """Eigenvalue on character level j, by the defining Krawtchouk sum."""
-    return spec.p + (1 - spec.p) * kraw_eval(spec.n, j, spec.k)
+    """Eigenvalue p + (1-p) K_j(k) on character level j."""
+    if not (0 <= j <= spec.n):
+        raise ValueError(f"cube_eigenvalue domain error: j={j}, n={spec.n}")
+    nums, den = cube_eigen_numerators(spec)
+    return Fraction(nums[j], den)
 
 
 def cube_spectrum(spec: WalkSpec) -> SpectrumTable:
@@ -93,13 +115,10 @@ def cube_spectrum(spec: WalkSpec) -> SpectrumTable:
     value 1 occurs for even k (the walk is confined to a parity coset) and
     value -1 for p = 0 with k odd (period two).
     """
-    n = spec.n
-    kt = kraw_table(n, spec.k)
-    row_mult = binom_row(n)
-    rows = tuple(
-        SpectrumRow(j, spec.p + (1 - spec.p) * kt[j], row_mult[j]) for j in range(n + 1)
-    )
-    non_ergodic = any(abs(r.value) == 1 for r in rows[1:])
+    nums, den = cube_eigen_numerators(spec)
+    row_mult = binom_row(spec.n)
+    rows = tuple(SpectrumRow(j, Fraction(v, den), row_mult[j]) for j, v in enumerate(nums))
+    non_ergodic = any(abs(v) == den for v in nums[1:])
     return SpectrumTable(spec, rows, non_ergodic)
 
 
@@ -107,12 +126,24 @@ def max_nontrivial_eigenvalue_magnitude(spec: WalkSpec) -> Fraction:
     return cube_spectrum(spec).max_nontrivial_magnitude()
 
 
+def _fsum_exp(logs) -> float:
+    """fsum of exp(x) over the given logs of positive terms.
+
+    An overflowing exp or fsum means the sum itself is beyond float range,
+    so the answer is inf rather than an error.
+    """
+    try:
+        return math.fsum(math.exp(x) for x in logs)
+    except OverflowError:
+        return math.inf
+
+
 def l2_upper_bound(spec: WalkSpec, l: int, exact: bool | None = None):
     """sum_{j>=1} C(n,j) (p + (1-p)K_j(k))^{2l}.
 
     This dominates 4 TV^2 after l steps (and equals the chi-square distance
     to uniform when the walk is started at a point).  Returns a Fraction in
-    the exact regime, a float otherwise.
+    the exact regime, a float otherwise (inf beyond float range).
     """
     if l < 0:
         raise ValueError(f"l2_upper_bound requires l >= 0, got l={l}")
@@ -120,29 +151,17 @@ def l2_upper_bound(spec: WalkSpec, l: int, exact: bool | None = None):
     if exact is None:
         exact = n <= EXACT_BACKEND_MAX_N
     mult = binom_row(n)
+    nums, den = cube_eigen_numerators(spec)
     if exact:
-        kt = kraw_table(n, spec.k)
-        total = Fraction(0)
-        for j in range(1, n + 1):
-            eig = spec.p + (1 - spec.p) * kt[j]
-            total += mult[j] * eig ** (2 * l)
-        return total
-    pf = float(spec.p)
-    kt = _kraw_table_float(n, spec.k)
-    terms = []
+        total = sum(mult[j] * nums[j] ** (2 * l) for j in range(1, n + 1))
+        return Fraction(total, den ** (2 * l))
+    logs = []
     for j in range(1, n + 1):
-        eig = pf + (1.0 - pf) * kt[j]
+        eig = nums[j] / den
         if eig == 0.0:
             continue
-        terms.append(math.exp(log_binom(n, j).log_value + 2 * l * math.log(abs(eig))))
-    return math.fsum(terms)
-
-
-def _kraw_table_float(n: int, x: int) -> list[float]:
-    vals = [1.0, (n - 2 * x) / n]
-    for j in range(1, n):
-        vals.append(((n - 2 * x) * vals[j] - j * vals[j - 1]) / (n - j))
-    return vals
+        logs.append(log_binom(n, j) + 2 * l * math.log(abs(eig)))
+    return _fsum_exp(logs)
 
 
 def l2_lower_bound_odd_levels(spec: WalkSpec, l: int) -> Fraction:
@@ -200,15 +219,15 @@ def zmn_l2_upper_bound(cspec: CyclicWalkSpec, l: int, exact: bool | None = None)
         return total
     logm1 = math.log(m - 1)
     lc = math.log(math.comb(n, k))
-    terms = []
+    logs = []
     for w in range(1, n + 1):
-        lw = log_binom(n, w).log_value + w * logm1
+        lw = log_binom(n, w) + w * logm1
         if n - w >= k:
             le = math.log(math.comb(n - w, k)) - lc
-            terms.append(math.exp(lw + 2 * l * le))
+            logs.append(lw + 2 * l * le)
         elif l == 0:
-            terms.append(math.exp(lw))
-    return math.fsum(terms)
+            logs.append(lw)
+    return _fsum_exp(logs)
 
 
 @dataclass(frozen=True)
@@ -232,25 +251,25 @@ def verify_eigenvalue_three_quarters(n: int) -> EigenvalueCertificate:
 
     Also re-derives every odd level as exactly 1/2 (the Krawtchouk value
     vanishes) and checks the closed form for K_{2i}(n/2) against the
-    recurrence table, all in exact rationals.
+    eigenvalue table, all in exact rationals.
     """
     if n % 4 != 2:
         raise ValueError(f"verify_eigenvalue_three_quarters requires n = 2 mod 4, got n={n}")
     k = n // 2
     spec = WalkSpec(n, k)
-    kt = kraw_table(n, k)
-    half = Fraction(1, 2)
+    nums, den = cube_eigen_numerators(spec)
     best = Fraction(0)
     best_level = 0
     odd_ok = True
     closed_ok = True
     for j in range(1, n + 1):
-        eig = half + half * kt[j]
+        eig = Fraction(nums[j], den)
         if abs(eig) > best:
             best, best_level = abs(eig), j
-        if j % 2 == 1 and eig != half:
+        # eigenvalue 1/2 + K/2, so K_j(n/2) = (2 nums[j] - den) / den
+        if j % 2 == 1 and 2 * nums[j] != den:
             odd_ok = False
-        if kraw_half(n, j) != kt[j]:
+        if kraw_half(n, j) != Fraction(2 * nums[j] - den, den):
             closed_ok = False
     bound = Fraction(3, 4)
     return EigenvalueCertificate(

@@ -1,9 +1,9 @@
 """Krawtchouk table checks against independent oracles.
 
-The recurrence and the integer kappa table are each compared with the
-defining alternating sum, and the integer table additionally with the
-coefficients of the generating function (1-z)^w (1+z)^(n-w), computed here
-by direct polynomial multiplication.
+The eigenvalue recurrence (spectrum.cube_eigen_numerators) and the integer
+kappa table are each compared with the defining alternating sum, and the
+integer table additionally with the coefficients of the generating function
+(1-z)^w (1+z)^(n-w), computed here by direct polynomial multiplication.
 """
 
 import math
@@ -15,11 +15,10 @@ from cubemix.krawtchouk import (
     kraw_eval,
     kraw_half,
     kraw_integer_table,
-    kraw_recurrence_eval,
     kraw_symmetry_holds,
-    kraw_table,
     verify_symmetry_sweep,
 )
+from cubemix.spectrum import WalkSpec, cube_eigen_numerators
 
 FROZEN_VALUES = [
     (4, 1, 1, Fraction(1, 2)),
@@ -43,15 +42,13 @@ def test_degree_one_seed():
 
 
 def test_recurrence_matches_defining_sum():
+    # with p = 0 the eigenvalue numerators over den = C(n,x) are C(n,x) K_j(x)
     for n in range(1, 61):
-        for x in range(n + 1):
-            table = kraw_table(n, x)
+        for x in range(1, n + 1):
+            nums, den = cube_eigen_numerators(WalkSpec(n, x, 0))
+            assert den == math.comb(n, x)
             for j in range(n + 1):
-                assert table[j] == kraw_eval(n, j, x), (n, j, x)
-
-
-def test_recurrence_eval_entry_point():
-    assert kraw_recurrence_eval(6, 2, 3) == Fraction(-1, 5)
+                assert Fraction(nums[j], den) == kraw_eval(n, j, x), (n, j, x)
 
 
 def test_self_duality():
@@ -97,11 +94,11 @@ def test_integer_table_generating_function():
 
 def test_half_point_closed_form():
     for n in range(2, 32, 2):
-        table = kraw_table(n, n // 2)
+        nums, den = cube_eigen_numerators(WalkSpec(n, n // 2, 0))
         for j in range(n + 1):
-            assert kraw_half(n, j) == table[j]
+            assert kraw_half(n, j) == Fraction(nums[j], den) == kraw_eval(n, j, n // 2)
             if j % 2 == 1:
-                assert table[j] == 0
+                assert nums[j] == 0
 
 
 def test_half_point_domain():
@@ -117,7 +114,7 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         kraw_eval(4, 1, -1)
     with pytest.raises(ValueError):
-        kraw_table(3, 4)
+        kraw_integer_table(-1)
 
 
 def test_symmetry_identity_holds_on_domain():

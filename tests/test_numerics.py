@@ -13,15 +13,10 @@ import pytest
 from cubemix.numerics import (
     LN2_HI,
     LN2_LO,
-    LogProb,
     binom,
     binom_row,
     cmp_with_ln2,
-    cmp_with_sqrt2,
-    fsum_abs_dev,
     hypergeom_numerators,
-    hypergeom_pmf,
-    hypergeom_support,
     log_binom,
 )
 
@@ -53,7 +48,7 @@ def test_log_binom_against_bigint_oracle():
     for _ in range(1000):
         n = rng.randrange(1, 2001)
         k = rng.randrange(0, n + 1)
-        got = log_binom(n, k).log_value
+        got = log_binom(n, k)
         want = math.log(math.comb(n, k))
         if want == 0.0:
             assert abs(got) < 1e-12
@@ -66,50 +61,6 @@ def test_log_binom_domain():
         log_binom(5, 6)
     with pytest.raises(ValueError):
         log_binom(-1, 0)
-
-
-def test_logprob_roundtrip_and_arithmetic():
-    rng = random.Random(7)
-    for _ in range(300):
-        a = Fraction(rng.randrange(-50, 51), rng.randrange(1, 60))
-        b = Fraction(rng.randrange(-50, 51), rng.randrange(1, 60))
-        la, lb = LogProb.from_fraction(a), LogProb.from_fraction(b)
-        assert abs(float(la * lb) - float(a * b)) <= 1e-12 * max(1.0, abs(float(a * b)))
-        s = float(la + lb)
-        assert abs(s - float(a + b)) <= 1e-9 * max(1.0, abs(float(a + b)))
-        assert abs(float(la**3) - float(a**3)) <= 1e-9 * max(1.0, abs(float(a**3)))
-
-
-def test_logprob_zero_and_negation():
-    z = LogProb.ZERO
-    x = LogProb.from_fraction(Fraction(3, 7))
-    assert float(z * x) == 0.0
-    assert float(z + x) == pytest.approx(3 / 7)
-    assert float(-x) == pytest.approx(-3 / 7)
-    assert float(x + (-x)) == 0.0
-    assert (x**0).sign == 1
-
-
-def test_logprob_huge_magnitude_becomes_inf():
-    big = LogProb(sign=1, log_value=1e6)
-    assert float(big) == math.inf
-
-
-def test_hypergeom_pmf_sums_to_one():
-    for n in range(1, 15):
-        for k in range(1, n + 1):
-            for y in range(0, n + 1):
-                total = sum(hypergeom_pmf(n, y, k, i) for i in hypergeom_support(n, y, k))
-                assert total == 1
-
-
-def test_hypergeom_pmf_formula_and_offsupport():
-    assert hypergeom_pmf(6, 3, 3, 1) == Fraction(math.comb(3, 1) * math.comb(3, 2), math.comb(6, 3))
-    assert hypergeom_pmf(6, 3, 3, 5) == 0
-    with pytest.raises(ValueError):
-        hypergeom_pmf(6, 7, 3, 1)
-    with pytest.raises(ValueError):
-        hypergeom_pmf(6, 3, 0, 0)
 
 
 def test_hypergeom_numerators_sum_to_choose():
@@ -136,15 +87,3 @@ def test_cmp_with_ln2():
     assert cmp_with_ln2(Fraction(1)) == 1
     with pytest.raises(ArithmeticError):
         cmp_with_ln2((LN2_LO + LN2_HI) / 2)
-
-
-def test_cmp_with_sqrt2():
-    assert cmp_with_sqrt2(Fraction(3, 2)) == 1
-    assert cmp_with_sqrt2(Fraction(7, 5)) == -1
-    assert cmp_with_sqrt2(Fraction(141421356, 10**8)) == -1
-    assert cmp_with_sqrt2(Fraction(141421357, 10**8)) == 1
-
-
-def test_fsum_abs_dev_is_half_l1():
-    assert fsum_abs_dev([0.5, 0.25], [0.25, 0.5]) == pytest.approx(0.25)
-    assert fsum_abs_dev([], []) == 0.0

@@ -13,6 +13,7 @@ from cubemix import (
     cube_spectrum,
     full_transition_matrix,
     kraw_eval,
+    kraw_integer_table,
     l2_lower_bound_odd_levels,
     l2_to_uniform,
     l2_upper_bound,
@@ -23,6 +24,7 @@ from cubemix import (
     zmn_l2_upper_bound,
     zmn_spectrum,
 )
+from cubemix.spectrum import cube_eigen_numerators
 
 HALF = Fraction(1, 2)
 
@@ -32,6 +34,21 @@ def test_cube_eigenvalue_is_lazy_krawtchouk():
         spec = WalkSpec(n, k, p)
         for j in range(n + 1):
             assert cube_eigenvalue(spec, j) == p + (1 - p) * kraw_eval(n, j, k)
+        for bad in (-1, n + 1):
+            with pytest.raises(ValueError):
+                cube_eigenvalue(spec, bad)
+
+
+def test_eigen_numerators_match_integer_table():
+    # kappa[k][j] = C(n,k) K_k(j) = C(n,k) K_j(k) by self-duality
+    for n in range(1, 41):
+        kap = kraw_integer_table(n)
+        for k in range(1, n + 1):
+            C = math.comb(n, k)
+            for p in (Fraction(0), Fraction(1, 3), HALF):
+                a, q = p.numerator, p.denominator
+                want = [a * C + (q - a) * kap[k][j] for j in range(n + 1)]
+                assert cube_eigen_numerators(WalkSpec(n, k, p)) == (want, q * C), (n, k, p)
 
 
 def test_cube_spectrum_frozen_values():
@@ -117,6 +134,21 @@ def test_l2_upper_bound_float_regime_agrees():
         exact = float(l2_upper_bound(spec, l, exact=True))
         approx = l2_upper_bound(spec, l, exact=False)
         assert approx == pytest.approx(exact, rel=1e-11)
+
+
+def test_l2_upper_bound_float_regime_large_n():
+    # a float Krawtchouk recurrence is forward-unstable here (|K_j| > 1 from
+    # j = 311 at n = 400, k = 7); the float branch must still match exact
+    for n, k, l in [(400, 7, 300), (400, 7, 800), (399, 3, 500)]:
+        spec = WalkSpec(n, k)
+        exact = float(l2_upper_bound(spec, l, exact=True))
+        approx = l2_upper_bound(spec, l, exact=False)
+        assert approx == pytest.approx(exact, rel=1e-10), (n, k, l)
+
+
+def test_float_l2_upper_bounds_beyond_float_range_are_inf():
+    assert l2_upper_bound(WalkSpec(2000, 3), 5, exact=False) == math.inf
+    assert zmn_l2_upper_bound(CyclicWalkSpec(2000, 3, 3), 5, exact=False) == math.inf
 
 
 def test_l2_lower_bound_odd_levels():
