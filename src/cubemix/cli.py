@@ -8,8 +8,9 @@ Subcommands:
   couple     Monte Carlo coupling tails next to the exact absorbing-chain tail
   verify     lemma certificates: probineq | general | eig34 | marginal | symmetry
 
-Exit codes: 0 success, 1 invalid arguments or domain error, 2 a verifier
-found a counterexample (the certificate file is still written).
+Exit codes: 0 success, 1 invalid arguments or domain error (for example a
+negative tv --steps or a zero-denominator --p), 2 a verifier found a
+counterexample (the certificate file is still written).
 
 Output is written atomically to --output, or to
 $CUBEMIX_OUTPUT_DIR/<subcommand>.<format> when --output is omitted.  CSV
@@ -113,41 +114,29 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _output_path(args, default_stem: str) -> str:
-    if args.output:
-        return args.output
-    base = os.environ.get(OUTPUT_DIR_ENV, ".")
-    return os.path.join(base, f"{default_stem}.{args.format}")
+def _emit(args, default_stem: str, payload: dict, rows: list[dict] | None = None) -> None:
+    """Write the payload as JSON, or as CSV with one line per row dict.
 
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
-
-
-def _json_text(payload) -> str:
-    return json.dumps(_sanitize(payload), indent=2) + "\n"
-
-
-def _kv_csv(payload: dict) -> str:
-    """Flatten a certificate to field,value rows (values JSON-encoded)."""
-    rows = [[k, json.dumps(_sanitize(v))] for k, v in payload.items()]
-    return _csv_text(["field", "value"], rows)
-
-
-def _emit(args, default_stem: str, header, rows, payload) -> str:
-    path = _output_path(args, default_stem)
-    if args.format == "csv":
-        text = _csv_text(header, rows) if header is not None else _kv_csv(payload)
+    The CSV header is the keys of the first row.  With rows=None the CSV
+    flattens the payload to field,value lines (values JSON-encoded), which
+    is how certificates are written.
+    """
+    path = args.output or os.path.join(
+        os.environ.get(OUTPUT_DIR_ENV, "."), f"{default_stem}.{args.format}"
+    )
+    if args.format == "json":
+        text = json.dumps(_sanitize(payload), indent=2) + "\n"
     else:
-        text = _json_text(payload)
+        if rows is None:
+            rows = [{"field": k, "value": json.dumps(_sanitize(v))} for k, v in payload.items()]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0])
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row.values()])
+        text = buf.getvalue()
     _write_atomic(path, text)
     print(f"wrote {path}")
-    return path
 
 
 def _use_exact(backend: str, n: int) -> bool:
@@ -170,25 +159,28 @@ def _cmd_spectrum(args) -> int:
     else:
         table = cube_spectrum(WalkSpec(args.n, args.k, args.p))
         walk = {"kind": "cube", "n": args.n, "k": args.k, "p": _fmt(args.p)}
-    rows = []
-    for r in table.rows:
-        val = r.value if exact else float(r.value)
-        rows.append([r.level, val, r.multiplicity])
+    rows = [
+        {
+            "level": r.level,
+            "eigenvalue": r.value if exact else float(r.value),
+            "multiplicity": r.multiplicity,
+        }
+        for r in table.rows
+    ]
     payload = {
         "walk": walk,
         "backend": "exact" if exact else "float",
         "non_ergodic": table.non_ergodic,
         "max_nontrivial_magnitude": table.max_nontrivial_magnitude(),
-        "rows": [
-            {"level": lv, "eigenvalue": _fmt(v) if exact else v, "multiplicity": mu}
-            for lv, v, mu in rows
-        ],
+        "rows": rows,
     }
-    _emit(args, "spectrum", ["level", "eigenvalue", "multiplicity"], rows, payload)
+    _emit(args, "spectrum", payload, rows)
     return 0
 
 
 def _cmd_tv(args) -> int:
+    if args.steps < 0:
+        raise ValueError(f"tv requires --steps >= 0, got --steps={args.steps}")
     if args.m is not None:
         return _cmd_tv_cyclic(args)
     exact = _use_exact(args.backend, args.n)
@@ -198,33 +190,23 @@ def _cmd_tv(args) -> int:
     if not exact:
         dist = dist.to_float()
     rows = []
-    jrows = []
     for l in range(args.steps + 1):
         if l:
             dist = evolve(dist, kernel, 1)
         tv = tv_to_uniform(dist)
         l2 = l2_to_uniform(dist)
         if exact:
-            rows.append([l, float(tv), float(l2), tv, l2])
-            jrows.append(
-                {
-                    "l": l,
-                    "tv": float(tv),
-                    "l2_sq": float(l2),
-                    "tv_exact": _fmt(tv),
-                    "l2_sq_exact": _fmt(l2),
-                }
+            rows.append(
+                {"l": l, "tv": float(tv), "l2_sq": float(l2), "tv_exact": tv, "l2_sq_exact": l2}
             )
         else:
-            rows.append([l, tv, l2])
-            jrows.append({"l": l, "tv": tv, "l2_sq": l2})
-    header = ["l", "tv", "l2_sq"] + (["tv_exact", "l2_sq_exact"] if exact else [])
+            rows.append({"l": l, "tv": tv, "l2_sq": l2})
     payload = {
         "walk": {"kind": "cube", "n": args.n, "k": args.k, "p": _fmt(args.p)},
         "backend": "exact" if exact else "float",
-        "rows": jrows,
+        "rows": rows,
     }
-    _emit(args, "tv", header, rows, payload)
+    _emit(args, "tv", payload, rows)
     return 0
 
 
@@ -233,29 +215,25 @@ def _cmd_tv_cyclic(args) -> int:
         raise ValueError("the cyclic TV curve is exact-only; use --backend exact or auto")
     cspec = CyclicWalkSpec(args.n, args.m, args.k)
     rows = []
-    jrows = []
     for l in range(args.steps + 1):
         tv = zmn_exact_tv(cspec, l)
         sep = separation_tail(cspec, l)
-        l2b = zmn_l2_upper_bound(cspec, l, exact=True)
-        rows.append([l, float(tv), float(sep), float(l2b), tv, sep])
-        jrows.append(
+        rows.append(
             {
                 "l": l,
                 "tv": float(tv),
                 "separation_tail": float(sep),
-                "l2_sq_bound": float(l2b),
-                "tv_exact": _fmt(tv),
-                "separation_tail_exact": _fmt(sep),
+                "l2_sq_bound": float(zmn_l2_upper_bound(cspec, l, exact=True)),
+                "tv_exact": tv,
+                "separation_tail_exact": sep,
             }
         )
-    header = ["l", "tv", "separation_tail", "l2_sq_bound", "tv_exact", "separation_tail_exact"]
     payload = {
         "walk": {"kind": "cyclic", "n": args.n, "m": args.m, "k": args.k},
         "backend": "exact",
-        "rows": jrows,
+        "rows": rows,
     }
-    _emit(args, "tv", header, rows, payload)
+    _emit(args, "tv", payload, rows)
     return 0
 
 
@@ -328,41 +306,25 @@ def _cmd_bounds(args) -> int:
             "rows": table,
         },
     }
-    if args.format == "csv":
-        header = ["op", "variant", "steps", "raw_steps", "bound", "bound_metric", "notes"]
-        rows = []
-        for rep in reports:
-            if "skipped" in rep:
-                rows.append([rep["op"], "skipped", "", "", "", "", rep["skipped"]])
-            else:
-                rows.append(
-                    [
-                        rep["op"],
-                        rep["variant"],
-                        rep["steps"],
-                        rep["raw_steps"],
-                        rep["bound"],
-                        rep["bound_metric"],
-                        "; ".join(rep["notes"]),
-                    ]
-                )
-        for row in table:
-            rows.append(
-                [
-                    "reported-comparison",
-                    f"n={row['n']} k={row['k']}",
-                    row["computed"],
-                    "",
-                    "",
-                    "",
-                    f"reported={row['reported']} difference={row['difference']}",
-                ]
-            )
-        path = _output_path(args, "bounds")
-        _write_atomic(path, _csv_text(header, rows))
-        print(f"wrote {path}")
-    else:
-        _emit(args, "bounds", None, None, payload)
+    columns = ("op", "variant", "steps", "raw_steps", "bound", "bound_metric", "notes")
+    rows = []
+    for rep in reports:
+        row = {c: rep.get(c, "") for c in columns}
+        if "skipped" in rep:
+            row.update(variant="skipped", notes=rep["skipped"])
+        else:
+            row["notes"] = "; ".join(rep["notes"])
+        rows.append(row)
+    for entry in table:
+        row = dict.fromkeys(columns, "")
+        row.update(
+            op="reported-comparison",
+            variant=f"n={entry['n']} k={entry['k']}",
+            steps=entry["computed"],
+            notes=f"reported={entry['reported']} difference={entry['difference']}",
+        )
+        rows.append(row)
+    _emit(args, "bounds", payload, rows)
     return 0
 
 
@@ -370,19 +332,16 @@ def _cmd_couple(args) -> int:
     spec = WalkSpec(args.n, args.k)
     report = simulate_coupling(spec, trials=args.trials, max_steps=args.steps, seed=args.seed)
     exact = coupling_tail_curve(spec, args.steps)
-    rows = []
-    jrows = []
-    for l in range(args.steps + 1):
-        rows.append([l, report.survivors[l], report.tail(l), float(exact[l]), exact[l]])
-        jrows.append(
-            {
-                "l": l,
-                "mc_survivors": report.survivors[l],
-                "mc_tail": report.tail(l),
-                "exact_tail": float(exact[l]),
-                "exact_tail_exact": _fmt(exact[l]),
-            }
-        )
+    rows = [
+        {
+            "l": l,
+            "mc_survivors": report.survivors[l],
+            "mc_tail": report.tail(l),
+            "exact_tail": float(exact[l]),
+            "exact_tail_exact": exact[l],
+        }
+        for l in range(args.steps + 1)
+    ]
     payload = {
         "walk": {"kind": "cube", "n": args.n, "k": args.k, "p": "1/2"},
         "trials": args.trials,
@@ -391,10 +350,9 @@ def _cmd_couple(args) -> int:
         "method": report.method,
         "censored": report.censored,
         "mc_mean_time": report.mean_time,
-        "rows": jrows,
+        "rows": rows,
     }
-    header = ["l", "mc_survivors", "mc_tail", "exact_tail", "exact_tail_exact"]
-    _emit(args, "couple", header, rows, payload)
+    _emit(args, "couple", payload, rows)
     return 0
 
 
@@ -439,7 +397,7 @@ def _cmd_verify(args) -> int:
     bad = not holds(cert)
     # fixed key order: lemma first, verdict second, certificate body after
     payload = {"lemma": lemma, "counterexamples_found": bad, **_sanitize(cert)}
-    _emit(args, f"verify_{lemma}", None, None, payload)
+    _emit(args, f"verify_{lemma}", payload)
     print(f"verify {lemma}: {'counterexamples found' if bad else 'ok'}")
     return 2 if bad else 0
 
@@ -451,7 +409,14 @@ def _cmd_verify(args) -> int:
 def _add_common(p, fmt_default: str) -> None:
     p.add_argument("--format", choices=("csv", "json"), default=fmt_default)
     p.add_argument("--output", help="output file path (default: $CUBEMIX_OUTPUT_DIR/<cmd>.<fmt>)")
-    p.add_argument("--backend", choices=("exact", "float", "auto"), default="auto")
+
+
+def _fraction(text: str) -> Fraction:
+    """argparse type for --p: a zero denominator is a usage error too."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -461,18 +426,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="eigenvalue table with multiplicities")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=Fraction, default=Fraction(1, 2))
+    p.add_argument("--p", type=_fraction, default=Fraction(1, 2))
     p.add_argument("--m", type=int, help="modulus: report the cyclic walk instead")
     _add_common(p, "csv")
+    p.add_argument("--backend", choices=("exact", "float", "auto"), default="auto")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("tv", help="per-step TV and l^2 distance curve")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=Fraction, default=Fraction(1, 2))
+    p.add_argument("--p", type=_fraction, default=Fraction(1, 2))
     p.add_argument("--m", type=int, help="modulus: curve for the cyclic walk instead")
     p.add_argument("--steps", type=int, required=True, help="curve covers l = 0..steps")
     _add_common(p, "csv")
+    p.add_argument("--backend", choices=("exact", "float", "auto"), default="auto")
     p.set_defaults(func=_cmd_tv)
 
     p = sub.add_parser("bounds", help="closed-form step bounds and table comparison")

@@ -274,10 +274,6 @@ def coupling_tail_curve(spec: WalkSpec, lmax: int) -> list[Fraction]:
     return out
 
 
-def coupling_tail_exact(spec: WalkSpec, l: int) -> Fraction:
-    return coupling_tail_curve(spec, l)[l]
-
-
 def expected_coupling_time(spec: WalkSpec, exact: bool | None = None):
     """E[T] from the absorbing y-kernel, y0 binomial.
 

@@ -122,10 +122,6 @@ def cube_spectrum(spec: WalkSpec) -> SpectrumTable:
     return SpectrumTable(spec, rows, non_ergodic)
 
 
-def max_nontrivial_eigenvalue_magnitude(spec: WalkSpec) -> Fraction:
-    return cube_spectrum(spec).max_nontrivial_magnitude()
-
-
 def _fsum_exp(logs) -> float:
     """fsum of exp(x) over the given logs of positive terms.
 

@@ -215,6 +215,27 @@ def test_invalid_arguments_exit_one(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tv", "--n", "6", "--k", "3", "--steps", "-1"],
+        ["tv", "--n", "6", "--k", "3", "--m", "3", "--steps", "-1"],
+        ["spectrum", "--n", "6", "--k", "3", "--p", "1/0"],
+        ["tv", "--n", "6", "--k", "3", "--steps", "3", "--p", "1/0"],
+        ["bounds", "--n", "54", "--k", "27", "--backend", "float"],
+        ["couple", "--n", "8", "--k", "3", "--backend", "exact"],
+        ["verify", "--lemma", "eig34", "--n", "6", "--backend", "exact"],
+    ],
+    ids=["tv-negative-steps", "tv-cyclic-negative-steps", "spectrum-p-zero-den", "tv-p-zero-den",
+         "bounds-backend", "couple-backend", "verify-backend"],
+)
+def test_rejected_inputs_exit_one_without_output(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == 1
+    assert not out.exists()
+    assert "error:" in capsys.readouterr().err.splitlines()[-1]
+
+
 def test_output_dir_environment_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("CUBEMIX_OUTPUT_DIR", str(tmp_path))
     assert main(["tv", "--n", "2", "--k", "1", "--steps", "1"]) == 0

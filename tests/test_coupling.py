@@ -12,7 +12,6 @@ from cubemix import (
     coupled_move_even,
     coupled_step,
     coupling_tail_curve,
-    coupling_tail_exact,
     coupling_weight_kernel,
     expected_coupling_time,
     marginal_check,
@@ -207,7 +206,7 @@ def test_coupling_tail_curve_frozen_tiny_case():
         Fraction(7, 64),
         Fraction(1, 16),
     ]
-    assert coupling_tail_exact(WalkSpec(2, 1), 5) == Fraction(1, 16)
+    assert coupling_tail_curve(WalkSpec(2, 1), 5)[5] == Fraction(1, 16)
     with pytest.raises(ValueError):
         coupling_tail_curve(WalkSpec(2, 1), -1)
 

@@ -17,7 +17,6 @@ from cubemix import (
     l2_lower_bound_odd_levels,
     l2_to_uniform,
     l2_upper_bound,
-    max_nontrivial_eigenvalue_magnitude,
     spectral_dist,
     verify_eigenvalue_three_quarters,
     zmn_eigenvalue,
@@ -67,7 +66,7 @@ def test_cube_spectrum_frozen_values():
     assert [r.multiplicity for r in table.rows] == [1, 6, 15, 20, 15, 6, 1]
     assert not table.non_ergodic
     assert table.max_nontrivial_magnitude() == Fraction(3, 5)
-    assert max_nontrivial_eigenvalue_magnitude(WalkSpec(6, 3)) == Fraction(3, 5)
+    assert cube_spectrum(WalkSpec(6, 3)).max_nontrivial_magnitude() == Fraction(3, 5)
 
 
 def test_cube_spectrum_multiplicities_sum_to_group_size():
