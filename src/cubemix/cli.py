@@ -185,7 +185,7 @@ def _cmd_tv(args) -> int:
         return _cmd_tv_cyclic(args)
     exact = _use_exact(args.backend, args.n)
     spec = WalkSpec(args.n, args.k, args.p)
-    kernel = flip_weight_kernel(spec, exact=exact)
+    kernel = flip_weight_kernel(spec)
     dist = WeightDistribution.delta(args.n)
     if not exact:
         dist = dist.to_float()
@@ -478,11 +478,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    # Exact rationals outgrow Python's 4300-digit int-to-str limit well
+    # inside the exact backend's range (tv --n 40 --k 3 --steps 600), so
+    # the limit is lifted while the command runs.  Builds before 3.10.7
+    # have no limit.
+    saved = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ValueError as exc:
         print(f"cubemix: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

@@ -298,21 +298,18 @@ def expected_coupling_time(spec: WalkSpec, exact: bool | None = None):
                 grew = True
     if len(reaches_zero) <= n:
         return math.inf
+    # den * (I - Q) in integers; each solve divides den out in its own arithmetic
+    a = [[kernel.den * (y == t) for t in range(1, n + 1)] for y in range(1, n + 1)]
+    for y in range(1, n + 1):
+        for t, c in kernel.rows[y].items():
+            if t >= 1:
+                a[y - 1][t - 1] -= c
+    init = WeightDistribution.binomial(n)
     if exact:
-        a = [[Fraction(0)] * n for _ in range(n)]
-        for y in range(1, n + 1):
-            a[y - 1][y - 1] += 1
-            for t, c in kernel.rows[y].items():
-                if t >= 1:
-                    a[y - 1][t - 1] -= Fraction(c, kernel.den)
-        e = _solve_exact(a, [Fraction(1)] * n)
-        init = WeightDistribution.binomial(n)
+        e = _solve_exact([[Fraction(v, kernel.den) for v in row] for row in a], [Fraction(1)] * n)
         return sum(init.prob(y) * e[y - 1] for y in range(1, n + 1))
-    mat = kernel.to_float().matrix
-    q = mat[1:, 1:]
-    e = np.linalg.solve(np.eye(n) - q, np.ones(n))
-    init = WeightDistribution.binomial(n).to_float().vec
-    return float(init[1:] @ e)
+    e = np.linalg.solve(np.array([[v / kernel.den for v in row] for row in a]), np.ones(n))
+    return float(init.to_float().vec[1:] @ e)
 
 
 def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:

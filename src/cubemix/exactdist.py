@@ -7,11 +7,12 @@ current support in i places moves to w + k - 2i with hypergeometric
 probability.  The same lumping carries the coupling analysis and the
 touched-coordinate chain of the (Z/mZ)^n walk.
 
-Exact evolution keeps integer numerators over the common denominator
-(step_denominator)^l; Fractions are materialized only at the boundary.
-This avoids the per-addition gcd work of Fraction arithmetic, which
-dominates runtime for hundreds of steps.  Float kernels are dense numpy
-matrices and are intended for walks beyond EXACT_BACKEND_MAX_N.
+Every kernel is integer numerators over one denominator, and evolve()
+steps along its few nonzero diagonals (from w the flip walk reaches only
+w + k - 2i).  Exact evolution keeps integers over (step_denominator)^l,
+avoiding the per-addition gcd work of Fractions; float evolution, for
+walks beyond EXACT_BACKEND_MAX_N, uses the same diagonals divided out
+once into correctly rounded float64, so mass is kept to rounding.
 
 brute_force_dist evolves the full 2^n-state distribution without any
 lumping assumption and exists to certify the lumped chain against direct
@@ -32,6 +33,7 @@ from .krawtchouk import kraw_integer_table
 from .numerics import (
     EXACT_BACKEND_MAX_N,
     binom_row,
+    fsum_exp,
     hypergeom_numerators,
     log_binom,
 )
@@ -104,63 +106,63 @@ class WeightDistribution:
     def to_float(self) -> "WeightDistribution":
         if not self.exact:
             return self
-        d = float(self.den)
-        return WeightDistribution(self.n, vec=[v / d for v in self.nums])
+        # int / int is correctly rounded at any size; float(den) overflows
+        return WeightDistribution(self.n, vec=[v / self.den for v in self.nums])
 
 
 class WeightKernel:
-    """Row-stochastic kernel on weights 0..n.
+    """Row-stochastic kernel on weights 0..n, in exact integers.
 
-    Exact backend: rows[w] maps target -> integer numerator, all rows over
-    the single denominator den.  Float backend: dense (n+1)^2 matrix.
+    rows[w] maps target -> integer numerator, all rows over the single
+    denominator den.  A weight chain only moves by a few fixed offsets, so
+    evolve() steps along the kernel's diagonals (see diagonals()).
     """
 
-    __slots__ = ("n", "kind", "meta", "exact", "rows", "den", "matrix")
+    __slots__ = ("n", "kind", "meta", "rows", "den", "_diagonals")
 
-    def __init__(self, n, kind, *, rows=None, den=None, matrix=None, meta=None):
+    # Every kernel is exact; the distribution picks the arithmetic.
+    exact = True
+
+    def __init__(self, n, kind, *, rows, den, meta=None):
         self.n = n
         self.kind = kind
         self.meta = dict(meta or {})
-        if rows is not None:
-            if den is None or den <= 0:
-                raise ValueError("exact WeightKernel needs a positive denominator")
-            for w, row in enumerate(rows):
-                if sum(row.values()) != den:
-                    raise ValueError(f"kernel row {w} does not sum to 1")
-                if any(c < 0 for c in row.values()):
-                    raise ValueError(f"negative entry in kernel row {w}")
-            self.exact = True
-            self.rows = rows
-            self.den = den
-            self.matrix = None
-        else:
-            mat = np.asarray(matrix, dtype=float)
-            if mat.shape != (n + 1, n + 1):
-                raise ValueError(f"expected shape ({n + 1},{n + 1}), got {mat.shape}")
-            if not np.allclose(mat.sum(axis=1), 1.0, atol=1e-9):
-                raise ValueError("float kernel rows do not sum to 1")
-            self.exact = False
-            self.rows = None
-            self.den = None
-            self.matrix = mat
+        if den <= 0:
+            raise ValueError("WeightKernel needs a positive denominator")
+        for w, row in enumerate(rows):
+            if sum(row.values()) != den:
+                raise ValueError(f"kernel row {w} does not sum to 1")
+            if any(c < 0 for c in row.values()):
+                raise ValueError(f"negative entry in kernel row {w}")
+        self.rows = rows
+        self.den = den
+        self._diagonals = {}
 
     def row_fractions(self, w: int) -> dict[int, Fraction]:
-        if not self.exact:
-            raise ValueError("row_fractions is only defined on the exact backend")
         return {t: Fraction(c, self.den) for t, c in self.rows[w].items()}
 
-    def to_float(self) -> "WeightKernel":
-        if not self.exact:
-            return self
-        mat = np.zeros((self.n + 1, self.n + 1))
-        d = float(self.den)
-        for w, row in enumerate(self.rows):
-            for t, c in row.items():
-                mat[w, t] = c / d
-        return WeightKernel(self.n, self.kind, matrix=mat, meta=self.meta)
+    def diagonals(self, exact: bool) -> list[tuple[int, int, int, np.ndarray]]:
+        """[(d, lo, hi, c)] with c[w - lo] = rows[w][w + d], one per offset d.
+
+        exact=True gives integer numerators (object array), exact=False the
+        float64 probabilities c / den.  Cached: curves step one call at a time.
+        """
+        if exact not in self._diagonals:
+            by_offset: dict[int, dict[int, int]] = {}
+            for w, row in enumerate(self.rows):
+                for t, c in row.items():
+                    by_offset.setdefault(t - w, {})[w] = c
+            diags = []
+            for d, col in sorted(by_offset.items()):
+                lo, hi = min(col), max(col) + 1
+                cs = [col.get(w, 0) for w in range(lo, hi)]
+                c = np.array(cs, dtype=object) if exact else np.array([v / self.den for v in cs])
+                diags.append((d, lo, hi, c))
+            self._diagonals[exact] = diags
+        return self._diagonals[exact]
 
 
-def flip_weight_kernel(spec: WalkSpec, exact: bool | None = None) -> WeightKernel:
+def flip_weight_kernel(spec: WalkSpec) -> WeightKernel:
     """Weight-lumped kernel of the lazy k-flip walk.
 
     From weight w: hold with probability p, else move to w + k - 2i where i
@@ -168,57 +170,37 @@ def flip_weight_kernel(spec: WalkSpec, exact: bool | None = None) -> WeightKerne
     support).
     """
     n, k, p = spec.n, spec.k, spec.p
-    if exact is None:
-        exact = n <= EXACT_BACKEND_MAX_N
-    if exact:
-        a, q = p.numerator, p.denominator
-        C = math.comb(n, k)
-        den = q * C
-        rows = []
-        for w in range(n + 1):
-            row = {w: a * C} if a else {}
-            for i, c in hypergeom_numerators(n, w, k).items():
-                t = w + k - 2 * i
-                row[t] = row.get(t, 0) + (q - a) * c
-            rows.append(row)
-        return WeightKernel(n, "flip", rows=rows, den=den, meta={"k": k, "p": p})
-    pf = float(p)
-    mat = np.zeros((n + 1, n + 1))
-    logC = log_binom(n, k)
+    a, q = p.numerator, p.denominator
+    C = math.comb(n, k)
+    rows = []
     for w in range(n + 1):
-        mat[w, w] += pf
-        for i in range(max(0, k - (n - w)), min(w, k) + 1):
-            pr = math.exp(log_binom(w, i) + log_binom(n - w, k - i) - logC)
-            mat[w, w + k - 2 * i] += (1.0 - pf) * pr
-    return WeightKernel(n, "flip", matrix=mat, meta={"k": k, "p": p})
+        row = {w: a * C} if a else {}
+        for i, c in hypergeom_numerators(n, w, k).items():
+            t = w + k - 2 * i
+            row[t] = row.get(t, 0) + (q - a) * c
+        rows.append(row)
+    return WeightKernel(n, "flip", rows=rows, den=q * C, meta={"k": k, "p": p})
 
 
 def evolve(dist: WeightDistribution, kernel: WeightKernel, steps: int) -> WeightDistribution:
-    """dist . kernel^steps, in the backend shared by both arguments.
+    """dist . kernel^steps, in the arithmetic of dist.
 
-    Mixing backends converts the exact argument down to floats first.
+    An exact distribution steps in integers over den * kernel.den^steps; a
+    float one steps with the float64 probabilities of the same kernel.
     """
     if steps < 0:
         raise ValueError(f"evolve requires steps >= 0, got {steps}")
     if dist.n != kernel.n:
         raise ValueError(f"size mismatch: distribution n={dist.n}, kernel n={kernel.n}")
-    if dist.exact and kernel.exact:
-        nums = dist.nums
-        den = dist.den
-        n = dist.n
-        for _ in range(steps):
-            new = [0] * (n + 1)
-            for w, v in enumerate(nums):
-                if v:
-                    for t, c in kernel.rows[w].items():
-                        new[t] += v * c
-            nums = new
-            den *= kernel.den
-        return WeightDistribution(dist.n, nums=nums, den=den)
-    vec = dist.to_float().vec
-    mat = kernel.to_float().matrix
+    diags = kernel.diagonals(dist.exact)
+    vec = np.array(dist.nums, dtype=object) if dist.exact else dist.vec
     for _ in range(steps):
-        vec = vec @ mat
+        new = np.zeros_like(vec)
+        for d, lo, hi, c in diags:
+            new[lo + d : hi + d] += vec[lo:hi] * c
+        vec = new
+    if dist.exact:
+        return WeightDistribution(dist.n, nums=vec.tolist(), den=dist.den * kernel.den**steps)
     return WeightDistribution(dist.n, vec=vec)
 
 
@@ -245,21 +227,20 @@ def tv_to_uniform(dist: WeightDistribution):
 
 
 def l2_to_uniform(dist: WeightDistribution):
-    """Chi-square distance |G| sum (P(x) - 1/|G|)^2 of the lifted law."""
+    """Chi-square distance |G| sum (P(x) - 1/|G|)^2 of the lifted law.
+
+    The float value is inf only when the sum itself is beyond float range.
+    """
     n = dist.n
-    mult = binom_row(n)
     if dist.exact:
         scale = 1 << n
+        mult = binom_row(n)
         d2 = dist.den * dist.den
         s = sum(Fraction(v * v, mult[w]) for w, v in enumerate(dist.nums) if v)
         return Fraction(scale, 1) * s / d2 - 1
     ln2n = n * math.log(2.0)
-    terms = []
-    for w, v in enumerate(dist.vec):
-        fv = float(v)
-        if fv:
-            terms.append(fv * fv * math.exp(ln2n - log_binom(n, w)))
-    return math.fsum(terms) - 1.0
+    logs = (2 * math.log(abs(v)) + ln2n - log_binom(n, w) for w, v in enumerate(dist.vec.tolist()) if v)
+    return fsum_exp(logs) - 1.0
 
 
 BRUTE_FORCE_MAX_N = 14

@@ -67,17 +67,34 @@ def hypergeom_support(n: int, y: int, k: int) -> range:
 
 
 def hypergeom_numerators(n: int, y: int, k: int) -> dict[int, int]:
-    """Integer pmf numerators over the common denominator C(n, k).
+    """Integer pmf numerators C(y,i) C(n-y,k-i) over the common denominator C(n, k).
 
     The hot paths evolve weight chains with these integers directly and
     divide out a single power of C(n,k) at the end, avoiding per-entry gcd
-    work that Fraction arithmetic would trigger.
+    work that Fraction arithmetic would trigger.  Built from the exact ratio
+    of consecutive terms: k+1 small products instead of two binomial rows.
     """
     if not (0 <= y <= n) or not (1 <= k <= n):
         raise ValueError(f"hypergeom_numerators domain error: n={n}, y={y}, k={k}")
-    ry = binom_row(y)
-    rny = binom_row(n - y)
-    return {i: ry[i] * rny[k - i] for i in hypergeom_support(n, y, k)}
+    support = hypergeom_support(n, y, k)
+    cur = math.comb(y, support.start) * math.comb(n - y, k - support.start)
+    out = {}
+    for i in support:
+        out[i] = cur
+        cur = cur * (y - i) * (k - i) // ((i + 1) * (n - y - k + i + 1))
+    return out
+
+
+def fsum_exp(logs) -> float:
+    """fsum of exp(x) over the given logs of positive terms.
+
+    An overflowing exp or fsum means the sum itself is beyond float range,
+    so the answer is inf rather than an error.
+    """
+    try:
+        return math.fsum(math.exp(x) for x in logs)
+    except OverflowError:
+        return math.inf
 
 
 def cmp_with_ln2(q: Fraction) -> int:

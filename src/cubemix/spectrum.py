@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .krawtchouk import kraw_half
-from .numerics import EXACT_BACKEND_MAX_N, binom_row, log_binom
+from .numerics import EXACT_BACKEND_MAX_N, binom_row, fsum_exp, log_binom
 
 
 @dataclass(frozen=True)
@@ -122,18 +122,6 @@ def cube_spectrum(spec: WalkSpec) -> SpectrumTable:
     return SpectrumTable(spec, rows, non_ergodic)
 
 
-def _fsum_exp(logs) -> float:
-    """fsum of exp(x) over the given logs of positive terms.
-
-    An overflowing exp or fsum means the sum itself is beyond float range,
-    so the answer is inf rather than an error.
-    """
-    try:
-        return math.fsum(math.exp(x) for x in logs)
-    except OverflowError:
-        return math.inf
-
-
 def l2_upper_bound(spec: WalkSpec, l: int, exact: bool | None = None):
     """sum_{j>=1} C(n,j) (p + (1-p)K_j(k))^{2l}.
 
@@ -157,7 +145,7 @@ def l2_upper_bound(spec: WalkSpec, l: int, exact: bool | None = None):
         if eig == 0.0:
             continue
         logs.append(log_binom(n, j) + 2 * l * math.log(abs(eig)))
-    return _fsum_exp(logs)
+    return fsum_exp(logs)
 
 
 def l2_lower_bound_odd_levels(spec: WalkSpec, l: int) -> Fraction:
@@ -223,7 +211,7 @@ def zmn_l2_upper_bound(cspec: CyclicWalkSpec, l: int, exact: bool | None = None)
             logs.append(lw + 2 * l * le)
         elif l == 0:
             logs.append(lw)
-    return _fsum_exp(logs)
+    return fsum_exp(logs)
 
 
 @dataclass(frozen=True)

@@ -241,7 +241,7 @@ def test_criterion_10_lower_bound_soundness():
     n = 1000
     for k, spacing in [(1, 368), (5, 73), (500, 2)]:
         spec = WalkSpec(n, k)
-        kern = flip_weight_kernel(spec, exact=False)
+        kern = flip_weight_kernel(spec)
         checkpoints = [1 + i * spacing for i in range(20)]
         dist = WeightDistribution.delta(n).to_float()
         step = 0

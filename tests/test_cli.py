@@ -2,10 +2,21 @@
 
 import json
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 
-from cubemix import coupling_upper_bound_steps, cyclic_step_bound, simulate_coupling, WalkSpec
+from cubemix import (
+    coupling_upper_bound_steps,
+    cyclic_step_bound,
+    evolve,
+    flip_weight_kernel,
+    simulate_coupling,
+    tv_to_uniform,
+    WalkSpec,
+    WeightDistribution,
+)
 from cubemix.cli import main
 
 
@@ -43,6 +54,25 @@ def test_tv_float_backend(tmp_path):
     lines = _lines(out)
     assert lines[0] == "l,tv,l2_sq"
     assert len(lines) == 4
+    # auto picks floats above n = 400; l2 at n = 1100 used to overflow
+    assert main(["tv", "--n", "1100", "--k", "3", "--steps", "3", "--output", str(out)]) == 0
+    assert len(_lines(out)) == 5
+
+
+def test_tv_exact_rationals_beyond_int_str_limit(tmp_path):
+    # l2_sq_exact outgrows Python's default 4300-digit int-to-str limit
+    out = tmp_path / "tv.csv"
+    assert main(["tv", "--n", "40", "--k", "3", "--steps", "600", "--output", str(out)]) == 0
+    last = _lines(out)[-1].split(",")
+    dist = evolve(WeightDistribution.delta(40), flip_weight_kernel(WalkSpec(40, 3)), 600)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert last[0] == "600"
+        assert Fraction(last[3]) == tv_to_uniform(dist)
+        assert len(last[4]) > 4300
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_tv_cyclic_curve(tmp_path):

@@ -79,14 +79,6 @@ def test_flip_kernel_reversible_for_binomial():
                 assert math.comb(n, w) * c == math.comb(n, t) * kern.rows[t].get(w, 0)
 
 
-def test_flip_kernel_float_matches_exact():
-    for n, k, p in [(4, 1, HALF), (8, 3, Fraction(1, 4))]:
-        spec = WalkSpec(n, k, p)
-        exact = flip_weight_kernel(spec, exact=True).to_float().matrix
-        approx = flip_weight_kernel(spec, exact=False).matrix
-        assert np.allclose(exact, approx, atol=1e-13, rtol=0.0)
-
-
 def test_evolve_single_step_is_kernel_row():
     kern = flip_weight_kernel(WalkSpec(5, 2))
     for w in range(6):
@@ -112,6 +104,45 @@ def test_tv_and_l2_frozen_tiny_case():
     fd1 = d1.to_float()
     assert tv_to_uniform(fd1) == pytest.approx(0.25, abs=1e-15)
     assert l2_to_uniform(fd1) == pytest.approx(0.5, rel=1e-13)
+
+
+def test_to_float_beyond_float_denominators():
+    # den = 2^1100, and den = 19760^200 after 200 exact steps: both beyond
+    # float range, while every probability is not.
+    b = WeightDistribution.binomial(1100).to_float()
+    assert b.prob(550) == pytest.approx(math.comb(1100, 550) / 2**1100, rel=1e-15)
+    assert l2_to_uniform(b) < 1e-9
+    d = evolve(WeightDistribution.delta(60), flip_weight_kernel(WalkSpec(60, 3)), 200)
+    assert d.den.bit_length() > 1024
+    assert np.array_equal(d.to_float().vec, [float(p) for p in d.probs])
+
+
+def test_float_evolve_matches_exact_random_sweep():
+    rng = random.Random(20261018)
+    cases = [(400, 7, HALF, [100, 200, 300])]
+    for _ in range(12):
+        n = rng.randint(2, 400)
+        k = rng.randint(1, min(n, 9))
+        p = rng.choice([Fraction(0), Fraction(1, 3), HALF, Fraction(3, 4)])
+        cases.append((n, k, p, sorted(rng.sample(range(301), 3))))
+    for n, k, p, ls in cases:
+        kern = flip_weight_kernel(WalkSpec(n, k, p))
+        exact = WeightDistribution.delta(n)
+        approx = exact.to_float()
+        step = 0
+        for l in ls:
+            exact = evolve(exact, kern, l - step)
+            approx = evolve(approx, kern, l - step)
+            step = l
+            assert abs(float(tv_to_uniform(exact)) - tv_to_uniform(approx)) <= 1e-12, (n, k, p, l)
+            l2 = float(l2_to_uniform(exact))
+            l2f = l2_to_uniform(approx)
+            assert abs(l2 / (1 + l2) - l2f / (1 + l2f)) <= 1e-12, (n, k, p, l)
+
+
+def test_float_evolve_keeps_mass_over_long_runs():
+    dist = evolve(WeightDistribution.delta(2000).to_float(), flip_weight_kernel(WalkSpec(2000, 7)), 1900)
+    assert abs(math.fsum(dist.vec) - 1.0) <= 1e-12
 
 
 def test_spectral_evolve_brute_force_agree():

@@ -64,11 +64,12 @@ def test_log_binom_domain():
 
 
 def test_hypergeom_numerators_sum_to_choose():
-    for n in range(1, 14):
+    for n in range(1, 41):
         for k in range(1, n + 1):
             for y in range(0, n + 1):
                 nums = hypergeom_numerators(n, y, k)
                 assert sum(nums.values()) == math.comb(n, k)
+                assert list(nums) == list(range(max(0, k - (n - y)), min(y, k) + 1))
                 for i, c in nums.items():
                     assert c == math.comb(y, i) * math.comb(n - y, k - i)
 
