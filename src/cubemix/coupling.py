@@ -17,7 +17,9 @@ Even y, move bit set, subset S drawn, a = |S intersect mismatches|:
 The y-process is Markov (transition law depends on y alone), which yields
 an exact absorbing (n+1)-state kernel; P(T > l) from it dominates the TV
 distance of the walk, and the Monte Carlo simulation of the actual bit
-configurations cross-checks it.
+configurations cross-checks it.  The simulator steps raw n-bit ints and
+draws each k-subset with random.sample's algorithm inlined, so it consumes
+the same getrandbits stream as rng.sample(range(n), k) would.
 
 The verifiers at the bottom certify, in exact arithmetic, the hypergeometric
 pick-probability inequalities that drive the coupling time analysis, and
@@ -128,11 +130,54 @@ def coupled_move_even(n: int, k: int, state: CoupledState, hold: bool, smask: in
     return CoupledState(n, state.x1 ^ smask, state.x2 ^ t)
 
 
-def _draw_mask(rng: random.Random, n: int, k: int) -> int:
+def _sample_setsize(k: int) -> int:
+    """random.sample's pool/set switch point for a k-subset draw."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    return setsize
+
+
+def _draw_mask(getrandbits, n: int, k: int, setsize: int) -> int:
+    """Bit mask of rng.sample(range(n), k), drawn from the same getrandbits calls.
+
+    This is CPython's random.sample with randbelow inlined: below setsize a
+    shrinking pool with randbelow(n - i), otherwise randbelow(n) redrawn on
+    repeats, each randbelow(m) rejecting getrandbits(m.bit_length()) >= m.
+    """
     mask = 0
-    for i in rng.sample(range(n), k):
-        mask |= 1 << i
+    if n <= setsize:
+        pool = list(range(n))
+        for m in range(n, n - k, -1):
+            nbits = m.bit_length()
+            j = getrandbits(nbits)
+            while j >= m:
+                j = getrandbits(nbits)
+            mask |= 1 << pool[j]
+            pool[j] = pool[m - 1]
+        return mask
+    nbits = n.bit_length()
+    for _ in range(k):
+        j = getrandbits(nbits)
+        while j >= n or mask >> j & 1:
+            j = getrandbits(nbits)
+        mask |= 1 << j
     return mask
+
+
+def _coupled_step_ints(n: int, k: int, setsize: int, x1: int, x2: int, getrandbits) -> tuple[int, int]:
+    """One coupled transition on raw n-bit ints; see coupled_step."""
+    mismask = x1 ^ x2
+    if mismask.bit_count() % 2:
+        if not getrandbits(1):
+            x1 ^= _draw_mask(getrandbits, n, k, setsize)
+        if not getrandbits(1):
+            x2 ^= _draw_mask(getrandbits, n, k, setsize)
+        return x1, x2
+    if getrandbits(1):
+        return x1, x2
+    smask = _draw_mask(getrandbits, n, k, setsize)
+    return x1 ^ smask, x2 ^ _even_x2_flipset(n, mismask, smask)
 
 
 def coupled_step(spec: WalkSpec, state: CoupledState, rng: random.Random) -> CoupledState:
@@ -142,18 +187,12 @@ def coupled_step(spec: WalkSpec, state: CoupledState, rng: random.Random) -> Cou
     one uniform k-subset.  Odd y lets each chain take an independent lazy
     step: chain 1's bit, chain 1's subset if moving, then chain 2's bit and
     subset.  Marginally each chain performs the lazy k-flip walk either way.
+    Fair bits are rng.getrandbits(1); each subset is drawn from the same
+    getrandbits calls as rng.sample(range(n), k).
     """
     n, k = spec.n, spec.k
-    if state.y % 2 == 1:
-        x1, x2 = state.x1, state.x2
-        if not rng.getrandbits(1):
-            x1 ^= _draw_mask(rng, n, k)
-        if not rng.getrandbits(1):
-            x2 ^= _draw_mask(rng, n, k)
-        return CoupledState(n, x1, x2)
-    hold = bool(rng.getrandbits(1))
-    smask = 0 if hold else _draw_mask(rng, n, k)
-    return coupled_move_even(n, k, state, hold, smask)
+    x1, x2 = _coupled_step_ints(n, k, _sample_setsize(k), state.x1, state.x2, rng.getrandbits)
+    return CoupledState(n, x1, x2)
 
 
 @dataclass(frozen=True)
@@ -371,17 +410,18 @@ def simulate_coupling(spec: WalkSpec, trials: int, max_steps: int, seed: int) ->
     if trials < 1 or max_steps < 0:
         raise ValueError(f"simulate_coupling needs trials >= 1, max_steps >= 0")
     n, k = spec.n, spec.k
+    setsize = _sample_setsize(k)
     counts = [0] * (max_steps + 1)  # counts[l] += 1 when T > l
     censored = 0
     for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        state = CoupledState(n, 0, rng.getrandbits(n))
+        getrandbits = _trial_rng(seed, trial).getrandbits
+        x1, x2 = 0, getrandbits(n)
         t = 0
-        while t < max_steps and not state.coalesced:
+        while t < max_steps and x1 != x2:
             counts[t] += 1
-            state = coupled_step(spec, state, rng)
+            x1, x2 = _coupled_step_ints(n, k, setsize, x1, x2, getrandbits)
             t += 1
-        if not state.coalesced:
+        if x1 != x2:
             counts[max_steps] += 1
             censored += 1
     return CouplingTailReport(

@@ -23,6 +23,7 @@ n <= 14 regime tractable at fifty steps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -204,9 +205,18 @@ def evolve(dist: WeightDistribution, kernel: WeightKernel, steps: int) -> Weight
     return WeightDistribution(dist.n, vec=vec)
 
 
-def _uniform_weight_float(n: int) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _log_binoms(n: int) -> tuple[float, ...]:
+    return tuple(log_binom(n, w) for w in range(n + 1))
+
+
+@functools.lru_cache(maxsize=8)
+def _uniform_weight_float(n: int) -> tuple[float, ...]:
+    """C(n, w) / 2^n for w = 0..n, rescaled so the lgamma errors cancel in the mass."""
     ln2n = n * math.log(2.0)
-    return np.array([math.exp(log_binom(n, w) - ln2n) for w in range(n + 1)])
+    prof = [math.exp(lb - ln2n) for lb in _log_binoms(n)]
+    mass = math.fsum(prof)
+    return tuple(v / mass for v in prof)
 
 
 def tv_to_uniform(dist: WeightDistribution):
@@ -223,7 +233,7 @@ def tv_to_uniform(dist: WeightDistribution):
         s = sum(abs(v * scale - mult[w] * dist.den) for w, v in enumerate(dist.nums))
         return Fraction(s, 2 * dist.den * scale)
     ref = _uniform_weight_float(n)
-    return 0.5 * math.fsum(abs(float(v) - r) for v, r in zip(dist.vec, ref))
+    return 0.5 * math.fsum(abs(v - r) for v, r in zip(dist.vec.tolist(), ref))
 
 
 def l2_to_uniform(dist: WeightDistribution):
@@ -239,7 +249,8 @@ def l2_to_uniform(dist: WeightDistribution):
         s = sum(Fraction(v * v, mult[w]) for w, v in enumerate(dist.nums) if v)
         return Fraction(scale, 1) * s / d2 - 1
     ln2n = n * math.log(2.0)
-    logs = (2 * math.log(abs(v)) + ln2n - log_binom(n, w) for w, v in enumerate(dist.vec.tolist()) if v)
+    lb = _log_binoms(n)
+    logs = (2 * math.log(abs(v)) + ln2n - lb[w] for w, v in enumerate(dist.vec.tolist()) if v)
     return fsum_exp(logs) - 1.0
 
 

@@ -1,6 +1,8 @@
 """Coupled moves, the mismatch kernel, and the pick-probability verifiers."""
 
+import hashlib
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,6 +10,7 @@ import pytest
 
 from cubemix import (
     CoupledState,
+    CouplingTailReport,
     WalkSpec,
     coupled_move_even,
     coupled_step,
@@ -22,7 +25,7 @@ from cubemix import (
     verify_half_flip_pick_bounds,
     verify_pick_fraction_bounds,
 )
-from cubemix.coupling import _even_x2_flipset
+from cubemix.coupling import _draw_mask, _even_x2_flipset, _sample_setsize
 
 HALF = Fraction(1, 2)
 
@@ -87,20 +90,31 @@ def test_coupled_move_even_branches():
 
 
 class _ScriptRng:
-    """Feeds a fixed script of fair bits and sampled subsets."""
+    """Feeds a fixed script of fair bits and sampled subsets.
 
-    def __init__(self, bits, masks):
-        self.bits = list(bits)
-        self.masks = list(masks)
+    The script lists, in consumption order, fair bits (0 or 1) and subsets.
+    A subset s is fed as the getrandbits draws by which
+    random.sample(range(n), k) picks s in its pool branch (n <= 21): one
+    in-range pool index per pick, so no draw is rejected.
+    """
+
+    def __init__(self, n, script):
+        assert n <= 21
+        self.draws = []  # (nbits, value)
+        for item in script:
+            if item in (0, 1):
+                self.draws.append((1, item))
+                continue
+            pool = list(range(n))
+            for i, e in enumerate(item):
+                j = pool.index(e)
+                self.draws.append(((n - i).bit_length(), j))
+                pool[j] = pool[n - i - 1]
 
     def getrandbits(self, nbits):
-        assert nbits == 1
-        return self.bits.pop(0)
-
-    def sample(self, population, k):
-        mask = self.masks.pop(0)
-        assert len(mask) == k
-        return list(mask)
+        want, value = self.draws.pop(0)
+        assert nbits == want
+        return value
 
 
 def _step_atoms(n, k, y_parity):
@@ -109,17 +123,17 @@ def _step_atoms(n, k, y_parity):
     C = len(subsets)
     atoms = []
     if y_parity == 0:
-        atoms.append((_ScriptRng([1], []), HALF))
+        atoms.append((_ScriptRng(n, [1]), HALF))
         for s in subsets:
-            atoms.append((_ScriptRng([0], [s]), Fraction(1, 2 * C)))
+            atoms.append((_ScriptRng(n, [0, s]), Fraction(1, 2 * C)))
     else:
         for b1 in (0, 1):
             for s1 in subsets if b1 == 0 else [None]:
                 for b2 in (0, 1):
                     for s2 in subsets if b2 == 0 else [None]:
-                        masks = [m for m in (s1, s2) if m is not None]
-                        w = Fraction(1, 4 * C ** len(masks))
-                        atoms.append((_ScriptRng([b1, b2], masks), w))
+                        script = [x for x in (b1, s1, b2, s2) if x is not None]
+                        w = Fraction(1, 4 * C ** (len(script) - 2))
+                        atoms.append((_ScriptRng(n, script), w))
     return atoms
 
 
@@ -155,7 +169,7 @@ def test_coupled_step_marginals_and_mismatch_law(x1, x2):
     total = Fraction(0)
     for rng, w in _step_atoms(n, k, state.y % 2):
         nxt = coupled_step(spec, state, rng)
-        assert not rng.bits and not rng.masks
+        assert not rng.draws
         m1[nxt.x1] = m1.get(nxt.x1, Fraction(0)) + w
         m2[nxt.x2] = m2.get(nxt.x2, Fraction(0)) + w
         ylaw[nxt.y] = ylaw.get(nxt.y, Fraction(0)) + w
@@ -268,6 +282,70 @@ def test_simulation_tracks_exact_tail():
         p = float(curve[l])
         sigma = math.sqrt(max(p * (1 - p), 1e-12) / trials)
         assert abs(report.tail(l) - p) <= 5 * sigma + 1e-9
+
+
+def test_draw_mask_consumes_the_random_sample_stream():
+    # The simulator inlines random.sample; it must pick the same subset from
+    # the same getrandbits calls, in both of sample's branches (pool for
+    # n <= setsize, rejection set above) and with setsize's growth for k > 5.
+    a = random.Random(20240607)
+    b = random.Random(20240607)
+    for n in range(1, 121):
+        for k in sorted({1, 2, 3, 5, 6, 7, n // 2, n}):
+            if not 1 <= k <= n:
+                continue
+            setsize = _sample_setsize(k)
+            for _ in range(3):
+                got = _draw_mask(a.getrandbits, n, k, setsize)
+                assert got == sum(1 << i for i in b.sample(range(n), k)), (n, k)
+            assert a.getstate() == b.getstate(), (n, k)
+
+
+def _oracle_simulation(spec, trials, max_steps, seed):
+    """Reference simulator: CoupledState steps, subsets from rng.sample."""
+    n, k = spec.n, spec.k
+
+    def draw(rng):
+        return sum(1 << i for i in rng.sample(range(n), k))
+
+    def step(state, rng):
+        if state.y % 2 == 1:
+            x1, x2 = state.x1, state.x2
+            if not rng.getrandbits(1):
+                x1 ^= draw(rng)
+            if not rng.getrandbits(1):
+                x2 ^= draw(rng)
+            return CoupledState(n, x1, x2)
+        hold = bool(rng.getrandbits(1))
+        return coupled_move_even(n, k, state, hold, 0 if hold else draw(rng))
+
+    counts = [0] * (max_steps + 1)
+    censored = 0
+    for trial in range(trials):
+        digest = hashlib.sha256(f"cubemix-couple:{seed}:{trial}".encode()).digest()
+        rng = random.Random(int.from_bytes(digest, "big"))
+        state = CoupledState(n, 0, rng.getrandbits(n))
+        t = 0
+        while t < max_steps and not state.coalesced:
+            counts[t] += 1
+            state = step(state, rng)
+            t += 1
+        if not state.coalesced:
+            counts[max_steps] += 1
+            censored += 1
+    return CouplingTailReport(n, k, trials, max_steps, seed, "monte-carlo", tuple(counts), censored)
+
+
+@pytest.mark.parametrize(
+    "n,k,trials,max_steps",
+    [(2, 1, 200, 12), (12, 3, 200, 30), (54, 27, 60, 40), (100, 5, 150, 50), (100, 7, 60, 40)],
+)
+def test_simulation_matches_coupled_state_oracle(n, k, trials, max_steps):
+    spec = WalkSpec(n, k)
+    for seed in (0, 7, 42):
+        assert simulate_coupling(spec, trials, max_steps, seed) == _oracle_simulation(
+            spec, trials, max_steps, seed
+        )
 
 
 def test_half_flip_pick_bounds_small_case():

@@ -26,7 +26,7 @@ from cubemix import (
     zmn_exact_tv,
     zmn_l2_upper_bound,
 )
-from cubemix.exactdist import _subset_flip_sum
+from cubemix.exactdist import _subset_flip_sum, _uniform_weight_float
 
 HALF = Fraction(1, 2)
 
@@ -115,6 +115,15 @@ def test_to_float_beyond_float_denominators():
     d = evolve(WeightDistribution.delta(60), flip_weight_kernel(WalkSpec(60, 3)), 200)
     assert d.den.bit_length() > 1024
     assert np.array_equal(d.to_float().vec, [float(p) for p in d.probs])
+
+
+def test_float_uniform_profile_has_unit_mass():
+    # The lgamma profile C(n, w)/2^n was off by up to 1.8e-12 in mass, so the
+    # float TV of a point mass read above 1 (1.000000000000888 at n=5000).
+    for n in (400, 2000, 5000):
+        assert abs(math.fsum(_uniform_weight_float(n)) - 1.0) <= 1e-15
+        tv = tv_to_uniform(WeightDistribution.delta(n).to_float())
+        assert 1.0 - 1e-15 <= tv <= 1.0
 
 
 def test_float_evolve_matches_exact_random_sweep():
