@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .spectrum import WalkSpec, cube_eigen_numerators
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -139,11 +141,6 @@ def half_flip_step_bound(n: int, eps: float) -> BoundReport:
     )
 
 
-def _lambda2_exact(n: int, k: int) -> Fraction:
-    # level-two eigenvalue of the half-lazy walk
-    return 1 + Fraction(2 * k * k - 2 * k * n, n * n - n)
-
-
 def weight_statistic_moments(n: int, k: int, l: int) -> MomentPair:
     """Mean and variance of sqrt(n)(1 - 2W_l/n), W_l the weight after l steps.
 
@@ -160,8 +157,10 @@ def exact_weight_statistic_moments(n: int, k: int, l: int) -> tuple[Fraction, Fr
     """(mean^2, variance) as exact rationals; the mean itself is sqrt of one."""
     if n < 2 or not (1 <= k <= n) or l < 0:
         raise ValueError(f"moment domain error: n={n}, k={k}, l={l}")
-    mean_sq = n * Fraction(n - k, n) ** (2 * l)
-    variance = 1 + (n - 1) * _lambda2_exact(n, k) ** l - mean_sq
+    # levels 1 and 2 of the half-lazy walk: eigenvalues 1 - k/n and 1 - 2k(n-k)/(n(n-1))
+    nums, den = cube_eigen_numerators(WalkSpec(n, k))
+    mean_sq = Fraction(n * nums[1] ** (2 * l), den ** (2 * l))
+    variance = 1 + Fraction((n - 1) * nums[2] ** l, den**l) - mean_sq
     return mean_sq, variance
 
 

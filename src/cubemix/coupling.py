@@ -91,43 +91,24 @@ def partner_assignment(n: int, chosen, mismatches) -> dict[int, int]:
     return out
 
 
-def _even_x2_flipset(n: int, mismask: int, smask: int) -> int:
+def _even_x2_flipset(mismask: int, smask: int) -> int:
     """Flip mask applied to x2 when x1 flips smask, for even |mismask|."""
     inter = smask & mismask
-    a = inter.bit_count()
-    y = mismask.bit_count()
-    if 2 * a > y:
+    if 2 * inter.bit_count() > mismask.bit_count():
         return smask
     # matched members of S flip in both chains; each mismatched member of S
-    # is paired with a free mismatched partner flipped in x2 only
-    flips = smask & ~mismask
+    # is paired with the next free mismatched index above it (cyclically),
+    # flipped in x2 only
+    free = mismask & ~smask
     taken = 0
-    i = 0
-    rest = inter
-    while rest:
-        lsb = rest & -rest
-        i = lsb.bit_length() - 1
-        j = (i + 1) % n
-        while True:
-            jb = 1 << j
-            if (jb & mismask) and not (jb & smask) and not (jb & taken):
-                break
-            j = (j + 1) % n
-        taken |= 1 << j
-        rest ^= lsb
-    return flips | taken
-
-
-def coupled_move_even(n: int, k: int, state: CoupledState, hold: bool, smask: int) -> CoupledState:
-    """Deterministic even-y coupled move given the randomness outcome."""
-    if state.y % 2 != 0:
-        raise ValueError("coupled_move_even requires even mismatch count")
-    if hold:
-        return state
-    if smask.bit_count() != k:
-        raise ValueError(f"flip set has {smask.bit_count()} bits, expected k={k}")
-    t = _even_x2_flipset(n, state.x1 ^ state.x2, smask)
-    return CoupledState(n, state.x1 ^ smask, state.x2 ^ t)
+    while inter:
+        lsb = inter & -inter
+        above = free & -(lsb << 1)
+        j = (above & -above) or (free & -free)
+        free ^= j
+        taken |= j
+        inter ^= lsb
+    return (smask & ~mismask) | taken
 
 
 def _sample_setsize(k: int) -> int:
@@ -177,7 +158,7 @@ def _coupled_step_ints(n: int, k: int, setsize: int, x1: int, x2: int, getrandbi
     if getrandbits(1):
         return x1, x2
     smask = _draw_mask(getrandbits, n, k, setsize)
-    return x1 ^ smask, x2 ^ _even_x2_flipset(n, mismask, smask)
+    return x1 ^ smask, x2 ^ _even_x2_flipset(mismask, smask)
 
 
 def coupled_step(spec: WalkSpec, state: CoupledState, rng: random.Random) -> CoupledState:
@@ -231,7 +212,7 @@ def marginal_check(n: int, k: int) -> MarginalCheckReport:
         masks += 1
         seen: dict[int, int] = {}
         for s in smasks:
-            t = _even_x2_flipset(n, m, s)
+            t = _even_x2_flipset(m, s)
             maps += 1
             if t in seen:
                 violations.append((m, seen[t], s, t))
@@ -297,7 +278,7 @@ def coupling_weight_kernel(spec: WalkSpec) -> WeightKernel:
                     t = y1 + k - 2 * a2
                     row[t] = row.get(t, 0) + c1 * c2
         rows.append(row)
-    return WeightKernel(n, "coupling", rows=rows, den=den, meta={"k": k, "p": spec.p})
+    return WeightKernel(n, rows=rows, den=den)
 
 
 def coupling_tail_curve(spec: WalkSpec, lmax: int) -> list[Fraction]:

@@ -7,9 +7,11 @@ current support in i places moves to w + k - 2i with hypergeometric
 probability.  The same lumping carries the coupling analysis and the
 touched-coordinate chain of the (Z/mZ)^n walk.
 
-Every kernel is integer numerators over one denominator, and evolve()
-steps along its few nonzero diagonals (from w the flip walk reaches only
-w + k - 2i).  Exact evolution keeps integers over (step_denominator)^l,
+Every kernel is integer numerators over one denominator, and so is
+every exact distance: each reduction sums integers and builds a single
+Fraction at the end.  evolve() steps along a kernel's few nonzero
+diagonals (from w the flip walk reaches only w + k - 2i).  Exact
+evolution keeps integers over (step_denominator)^l,
 avoiding the per-addition gcd work of Fractions; float evolution, for
 walks beyond EXACT_BACKEND_MAX_N, uses the same diagonals divided out
 once into correctly rounded float64, so mass is kept to rounding.
@@ -119,15 +121,13 @@ class WeightKernel:
     evolve() steps along the kernel's diagonals (see diagonals()).
     """
 
-    __slots__ = ("n", "kind", "meta", "rows", "den", "_diagonals")
+    __slots__ = ("n", "rows", "den", "_diagonals")
 
     # Every kernel is exact; the distribution picks the arithmetic.
     exact = True
 
-    def __init__(self, n, kind, *, rows, den, meta=None):
+    def __init__(self, n, *, rows, den):
         self.n = n
-        self.kind = kind
-        self.meta = dict(meta or {})
         if den <= 0:
             raise ValueError("WeightKernel needs a positive denominator")
         for w, row in enumerate(rows):
@@ -180,7 +180,7 @@ def flip_weight_kernel(spec: WalkSpec) -> WeightKernel:
             t = w + k - 2 * i
             row[t] = row.get(t, 0) + (q - a) * c
         rows.append(row)
-    return WeightKernel(n, "flip", rows=rows, den=q * C, meta={"k": k, "p": p})
+    return WeightKernel(n, rows=rows, den=q * C)
 
 
 def evolve(dist: WeightDistribution, kernel: WeightKernel, steps: int) -> WeightDistribution:
@@ -208,6 +208,14 @@ def evolve(dist: WeightDistribution, kernel: WeightKernel, steps: int) -> Weight
 @functools.lru_cache(maxsize=8)
 def _log_binoms(n: int) -> tuple[float, ...]:
     return tuple(log_binom(n, w) for w in range(n + 1))
+
+
+@functools.lru_cache(maxsize=8)
+def _binom_cofactors(n: int) -> tuple[int, tuple[int, ...]]:
+    """(L, [L // C(n, w)]) with L = lcm of the row: 1/C(n, w) over one denominator."""
+    row = binom_row(n)
+    L = math.lcm(*row)
+    return L, tuple(L // c for c in row)
 
 
 @functools.lru_cache(maxsize=8)
@@ -243,11 +251,10 @@ def l2_to_uniform(dist: WeightDistribution):
     """
     n = dist.n
     if dist.exact:
-        scale = 1 << n
-        mult = binom_row(n)
+        L, cof = _binom_cofactors(n)
         d2 = dist.den * dist.den
-        s = sum(Fraction(v * v, mult[w]) for w, v in enumerate(dist.nums) if v)
-        return Fraction(scale, 1) * s / d2 - 1
+        s = sum(v * v * c for v, c in zip(dist.nums, cof))
+        return Fraction((s << n) - L * d2, L * d2)
     ln2n = n * math.log(2.0)
     lb = _log_binoms(n)
     logs = (2 * math.log(abs(v)) + ln2n - lb[w] for w, v in enumerate(dist.vec.tolist()) if v)
@@ -394,14 +401,8 @@ def touched_weight_kernel(cspec: CyclicWalkSpec) -> WeightKernel:
     C(n-w,j) C(w,k-j) / C(n,k).
     """
     n, k = cspec.n, cspec.k
-    C = math.comb(n, k)
-    rows = []
-    for w in range(n + 1):
-        row = {}
-        for j in range(max(0, k - w), min(n - w, k) + 1):
-            row[w + j] = math.comb(n - w, j) * math.comb(w, k - j)
-        rows.append(row)
-    return WeightKernel(n, "touched", rows=rows, den=C, meta={"k": k, "m": cspec.m})
+    rows = [{w + j: c for j, c in hypergeom_numerators(n, n - w, k).items()} for w in range(n + 1)]
+    return WeightKernel(n, rows=rows, den=math.comb(n, k))
 
 
 def _touched_profile(cspec: CyclicWalkSpec, l: int) -> WeightDistribution:
@@ -428,15 +429,12 @@ def zmn_exact_tv(cspec: CyclicWalkSpec, l: int) -> Fraction:
     """
     n, m = cspec.n, cspec.m
     prof = _touched_profile(cspec, l)
-    q = prof.probs
+    # For x of support size s, since C(n-s,w-s)/C(n,w) = C(w,s)/C(n,s),
+    # den m^n C(n,s) P(x) = sum_w nums_w C(w,s) m^(n-w).
+    scaled = [(w, v * m ** (n - w)) for w, v in enumerate(prof.nums) if v]
     mult = binom_row(n)
-    unif = Fraction(1, m**n)
-    total = Fraction(0)
+    total = 0
     for s in range(n + 1):
-        # P(x) for any x with support size s
-        ps = Fraction(0)
-        for w in range(s, n + 1):
-            if prof.nums[w]:
-                ps += q[w] * Fraction(math.comb(n - s, w - s), mult[w] * m**w)
-        total += mult[s] * (m - 1) ** s * abs(ps - unif)
-    return total / 2
+        ps = sum(t * math.comb(w, s) for w, t in scaled if w >= s)
+        total += (m - 1) ** s * abs(ps - prof.den * mult[s])
+    return Fraction(total, 2 * prof.den * m**n)

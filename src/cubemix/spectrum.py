@@ -8,20 +8,24 @@ on (Z/mZ)^n picks a uniform k-subset and adds independent uniform digits;
 its eigenvalue on a character of support size w is C(n-w,k)/C(n,k)
 (independent of m), with multiplicity C(n,w)(m-1)^w.
 
-Every cube eigenvalue comes from one integer table, cube_eigen_numerators.
-Exact rational spectra are the default up to EXACT_BACKEND_MAX_N
-coordinates; beyond that, bound evaluation switches to log-space floats
-with exactly rounded accumulation (math.fsum).
+Every eigenvalue comes from a table of integer numerators over one
+denominator (cube_eigen_numerators, _zmn_eigen_numerators), and both
+walks' l2 bounds are one sum over such a table (_l2_sum).  Exact rational
+spectra are the default up to EXACT_BACKEND_MAX_N coordinates; beyond
+that, bound evaluation switches to log-space floats with exactly rounded
+accumulation (math.fsum).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .krawtchouk import kraw_half
-from .numerics import EXACT_BACKEND_MAX_N, binom_row, fsum_exp, log_binom
+from .numerics import EXACT_BACKEND_MAX_N, binom_row, fsum_exp
 
 
 @dataclass(frozen=True)
@@ -131,20 +135,31 @@ def l2_upper_bound(spec: WalkSpec, l: int, exact: bool | None = None):
     """
     if l < 0:
         raise ValueError(f"l2_upper_bound requires l >= 0, got l={l}")
-    n = spec.n
-    if exact is None:
-        exact = n <= EXACT_BACKEND_MAX_N
-    mult = binom_row(n)
     nums, den = cube_eigen_numerators(spec)
+    return _l2_sum(binom_row(spec.n), nums, den, l, exact)
+
+
+def _l2_sum(mults, nums, den, l: int, exact: bool | None):
+    """sum_{level>=1} mults * (nums / den)^{2l}, over the levels of one spectrum.
+
+    The exact branch is one integer sum over den^{2l}; 0**0 == 1 counts the
+    zero eigenvalues at l = 0.  The float branch takes each term's log from
+    the same integers and sums in log space, so it reaches inf only when the
+    sum itself leaves float range.
+    """
+    if exact is None:
+        exact = len(nums) - 1 <= EXACT_BACKEND_MAX_N
     if exact:
-        total = sum(mult[j] * nums[j] ** (2 * l) for j in range(1, n + 1))
-        return Fraction(total, den ** (2 * l))
+        return Fraction(sum(c * v ** (2 * l) for c, v in zip(mults[1:], nums[1:])), den ** (2 * l))
     logs = []
-    for j in range(1, n + 1):
-        eig = nums[j] / den
-        if eig == 0.0:
-            continue
-        logs.append(log_binom(n, j) + 2 * l * math.log(abs(eig)))
+    for c, v in zip(mults[1:], nums[1:]):
+        if l == 0:
+            logs.append(math.log(c))
+        elif v:
+            # abs(v) / den is correctly rounded; below float range, subtract logs
+            r = abs(v) / den
+            log_eig = math.log(r) if r >= sys.float_info.min else math.log(abs(v)) - math.log(den)
+            logs.append(math.log(c) + 2 * l * log_eig)
     return fsum_exp(logs)
 
 
@@ -165,22 +180,30 @@ def l2_lower_bound_odd_levels(spec: WalkSpec, l: int) -> Fraction:
     return 2 ** (spec.n - 1) * spec.p ** (2 * l)
 
 
+def _zmn_eigen_numerators(cspec: CyclicWalkSpec) -> tuple[list[int], int]:
+    """(nums, den) with eigenvalue_w = nums[w] / den = C(n-w,k) / C(n,k)."""
+    n, k = cspec.n, cspec.k
+    return [math.comb(n - w, k) for w in range(n + 1)], math.comb(n, k)
+
+
+@functools.lru_cache(maxsize=8)
+def _zmn_multiplicities(n: int, m: int) -> tuple[int, ...]:
+    """C(n,w) (m-1)^w for w = 0..n; cached, since the products are big at large n."""
+    return tuple(c * (m - 1) ** w for w, c in enumerate(binom_row(n)))
+
+
 def zmn_eigenvalue(cspec: CyclicWalkSpec, w: int) -> Fraction:
     """Eigenvalue on characters of support size w; C(n-w,k)/C(n,k), m-free."""
     if not (0 <= w <= cspec.n):
         raise ValueError(f"zmn_eigenvalue domain error: w={w}, n={cspec.n}")
-    n, k = cspec.n, cspec.k
-    if n - w < k:
-        return Fraction(0)
-    return Fraction(math.comb(n - w, k), math.comb(n, k))
+    nums, den = _zmn_eigen_numerators(cspec)
+    return Fraction(nums[w], den)
 
 
 def zmn_spectrum(cspec: CyclicWalkSpec) -> SpectrumTable:
-    n, m = cspec.n, cspec.m
-    mult = binom_row(n)
-    rows = tuple(
-        SpectrumRow(w, zmn_eigenvalue(cspec, w), mult[w] * (m - 1) ** w) for w in range(n + 1)
-    )
+    nums, den = _zmn_eigen_numerators(cspec)
+    mult = _zmn_multiplicities(cspec.n, cspec.m)
+    rows = tuple(SpectrumRow(w, Fraction(v, den), mult[w]) for w, v in enumerate(nums))
     return SpectrumTable(cspec, rows, non_ergodic=False)
 
 
@@ -188,30 +211,8 @@ def zmn_l2_upper_bound(cspec: CyclicWalkSpec, l: int, exact: bool | None = None)
     """sum_{w>=1} C(n,w)(m-1)^w (C(n-w,k)/C(n,k))^{2l}."""
     if l < 0:
         raise ValueError(f"zmn_l2_upper_bound requires l >= 0, got l={l}")
-    n, m, k = cspec.n, cspec.m, cspec.k
-    if exact is None:
-        exact = n <= EXACT_BACKEND_MAX_N
-    mult = binom_row(n)
-    if exact:
-        total = Fraction(0)
-        for w in range(1, n + 1):
-            eig = zmn_eigenvalue(cspec, w)
-            # At l = 0 the zero eigenvalues still contribute 0^0 = 1, and the
-            # sum is the full character count m^n - 1.
-            if eig or l == 0:
-                total += mult[w] * (m - 1) ** w * eig ** (2 * l)
-        return total
-    logm1 = math.log(m - 1)
-    lc = math.log(math.comb(n, k))
-    logs = []
-    for w in range(1, n + 1):
-        lw = log_binom(n, w) + w * logm1
-        if n - w >= k:
-            le = math.log(math.comb(n - w, k)) - lc
-            logs.append(lw + 2 * l * le)
-        elif l == 0:
-            logs.append(lw)
-    return fsum_exp(logs)
+    nums, den = _zmn_eigen_numerators(cspec)
+    return _l2_sum(_zmn_multiplicities(cspec.n, cspec.m), nums, den, l, exact)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from cubemix import (
     CoupledState,
     CouplingTailReport,
     WalkSpec,
-    coupled_move_even,
     coupled_step,
     coupling_tail_curve,
     coupling_weight_kernel,
@@ -58,19 +57,34 @@ def test_partner_assignment_requires_spare_mismatches():
 
 def test_even_flipset_agrees_with_partner_assignment():
     # The bit-twiddling move and the set-level description must match on
-    # every (mismatch, subset) pair with a <= y/2.
-    n = 7
-    for mism in combinations(range(n), 4):
-        mismask = sum(1 << i for i in mism)
-        for s in combinations(range(n), 3):
-            smask = sum(1 << i for i in s)
-            a = bin(smask & mismask).count("1")
-            if 2 * a > 4:
-                assert _even_x2_flipset(n, mismask, smask) == smask
+    # every even mismatch mask and every subset (so every k), n <= 8.
+    for n in range(1, 9):
+        subsets = [set(s) for k in range(n + 1) for s in combinations(range(n), k)]
+        for mismask in range(1 << n):
+            y = mismask.bit_count()
+            if y % 2:
                 continue
-            partners = partner_assignment(n, set(s), set(mism))
-            expected = (smask & ~mismask) | sum(1 << j for j in partners.values())
-            assert _even_x2_flipset(n, mismask, smask) == expected
+            mism = {i for i in range(n) if mismask >> i & 1}
+            for s in subsets:
+                smask = sum(1 << i for i in s)
+                if 2 * len(s & mism) > y:
+                    assert _even_x2_flipset(mismask, smask) == smask
+                    continue
+                partners = partner_assignment(n, s, mism)
+                expected = (smask & ~mismask) | sum(1 << j for j in partners.values())
+                assert _even_x2_flipset(mismask, smask) == expected, (n, mismask, smask)
+
+
+def coupled_move_even(n: int, k: int, state: CoupledState, hold: bool, smask: int) -> CoupledState:
+    """Reference even-y coupled move given the randomness outcome."""
+    if state.y % 2 != 0:
+        raise ValueError("coupled_move_even requires even mismatch count")
+    if hold:
+        return state
+    if smask.bit_count() != k:
+        raise ValueError(f"flip set has {smask.bit_count()} bits, expected k={k}")
+    t = _even_x2_flipset(state.x1 ^ state.x2, smask)
+    return CoupledState(n, state.x1 ^ smask, state.x2 ^ t)
 
 
 def test_coupled_move_even_branches():

@@ -27,6 +27,7 @@ from cubemix import (
     zmn_l2_upper_bound,
 )
 from cubemix.exactdist import _subset_flip_sum, _uniform_weight_float
+from cubemix.numerics import binom_row
 
 HALF = Fraction(1, 2)
 
@@ -303,3 +304,63 @@ def test_zmn_distance_chain():
             tv = zmn_exact_tv(cspec, l)
             assert tv <= separation_tail(cspec, l)
             assert 4 * tv * tv <= zmn_l2_upper_bound(cspec, l)
+
+
+def _fraction_l2_to_uniform(dist):
+    """Reference chi-square distance, summed one Fraction per weight."""
+    n = dist.n
+    scale = 1 << n
+    mult = binom_row(n)
+    d2 = dist.den * dist.den
+    s = sum(Fraction(v * v, mult[w]) for w, v in enumerate(dist.nums) if v)
+    return Fraction(scale, 1) * s / d2 - 1
+
+
+def _fraction_zmn_tv(prof, m):
+    """Reference cyclic TV of a touched profile, one Fraction per (s, w) term."""
+    n = prof.n
+    q = prof.probs
+    mult = binom_row(n)
+    unif = Fraction(1, m**n)
+    total = Fraction(0)
+    for s in range(n + 1):
+        ps = Fraction(0)
+        for w in range(s, n + 1):
+            if prof.nums[w]:
+                ps += q[w] * Fraction(math.comb(n - s, w - s), mult[w] * m**w)
+        total += mult[s] * (m - 1) ** s * abs(ps - unif)
+    return total / 2
+
+
+def test_l2_to_uniform_matches_fraction_oracle_off_point_starts():
+    # the golden digests pin only point starts; the binomial start is
+    # stationary, the random ones are not
+    rng = random.Random(20261018)
+    for n in range(1, 31):
+        weights = [rng.randrange(20) for _ in range(n)] + [1]
+        starts = [
+            WeightDistribution.binomial(n),
+            WeightDistribution.from_fractions([Fraction(x, sum(weights)) for x in weights]),
+        ]
+        spec = WalkSpec(n, rng.randint(1, n), rng.choice([0, Fraction(1, 3), HALF]))
+        kern = flip_weight_kernel(spec)
+        for dist in starts:
+            for _ in range(4):
+                assert l2_to_uniform(dist) == _fraction_l2_to_uniform(dist), n
+                dist = evolve(dist, kern, 1)
+
+
+def test_zmn_exact_tv_matches_fraction_oracle():
+    # every k and m in {2, 3, 5} for n <= 20; l = 0, 30 and one seeded l
+    # between, so that the sweep as a whole covers the steps in between
+    rng = random.Random(6)
+    for n in range(1, 21):
+        for k in range(1, n + 1):
+            kern = touched_weight_kernel(CyclicWalkSpec(n, 2, k))
+            prof = WeightDistribution.delta(n)
+            checked = {0, rng.randrange(1, 30), 30}
+            for l in range(31):
+                for m in (2, 3, 5) if l in checked else ():
+                    got = zmn_exact_tv(CyclicWalkSpec(n, m, k), l)
+                    assert got == _fraction_zmn_tv(prof, m), (n, m, k, l)
+                prof = evolve(prof, kern, 1)

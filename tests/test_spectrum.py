@@ -125,6 +125,12 @@ def test_l2_upper_bound_equals_chi_square_of_point_start():
 def test_l2_upper_bound_l0_counts_nontrivial_characters():
     for n, k in [(3, 1), (6, 3), (9, 4)]:
         assert l2_upper_bound(WalkSpec(n, k), 0) == (1 << n) - 1
+    # a zero eigenvalue still counts 0^0 = 1 at l = 0 in both branches:
+    # level 6 of (6, 3), and levels 1 and 3 of (4, 2) at p = 0
+    for spec in [WalkSpec(6, 3), WalkSpec(4, 2, p=0), WalkSpec(9, 4)]:
+        assert l2_upper_bound(spec, 0, exact=False) == pytest.approx((1 << spec.n) - 1, rel=1e-13)
+    cspec = CyclicWalkSpec(5, 3, 2)
+    assert zmn_l2_upper_bound(cspec, 0, exact=False) == pytest.approx(3**5 - 1, rel=1e-13)
 
 
 def test_l2_upper_bound_float_regime_agrees():
@@ -208,11 +214,12 @@ def test_zmn_l2_upper_bound_exact_and_l0():
 
 
 def test_zmn_l2_upper_bound_float_regime_agrees():
-    cspec = CyclicWalkSpec(25, 4, 6)
-    for l in [1, 4, 12]:
-        exact = float(zmn_l2_upper_bound(cspec, l, exact=True))
-        approx = zmn_l2_upper_bound(cspec, l, exact=False)
-        assert approx == pytest.approx(exact, rel=1e-11)
+    # at (1100, 3, 550) the eigenvalues from w = 550 on lie below float range
+    for cspec, ls in [(CyclicWalkSpec(25, 4, 6), [1, 4, 12]), (CyclicWalkSpec(1100, 3, 550), [2, 5])]:
+        for l in ls:
+            exact = float(zmn_l2_upper_bound(cspec, l, exact=True))
+            approx = zmn_l2_upper_bound(cspec, l, exact=False)
+            assert approx == pytest.approx(exact, rel=1e-11), (cspec, l)
 
 
 def test_verify_eigenvalue_three_quarters_small_case():
