@@ -46,6 +46,7 @@ from .exactdist import (
     flip_weight_kernel,
     l2_to_uniform,
     separation_tail,
+    touched_weight_kernel,
     tv_to_uniform,
     zmn_exact_tv,
 )
@@ -181,11 +182,39 @@ def _cmd_spectrum(args) -> int:
 def _cmd_tv(args) -> int:
     if args.steps < 0:
         raise ValueError(f"tv requires --steps >= 0, got --steps={args.steps}")
+    # each walk supplies its kernel, walk header and row columns; the
+    # curve itself is one point start stepped once per l
     if args.m is not None:
-        return _cmd_tv_cyclic(args)
-    exact = _use_exact(args.backend, args.n)
-    spec = WalkSpec(args.n, args.k, args.p)
-    kernel = flip_weight_kernel(spec)
+        if args.backend == "float":
+            raise ValueError("the cyclic TV curve is exact-only; use --backend exact or auto")
+        exact = True
+        cspec = CyclicWalkSpec(args.n, args.m, args.k)
+        kernel = touched_weight_kernel(cspec)
+        walk = {"kind": "cyclic", "n": args.n, "m": args.m, "k": args.k}
+
+        def columns(l, touched):
+            tv = zmn_exact_tv(touched, args.m)
+            sep = separation_tail(touched)
+            return {
+                "tv": float(tv),
+                "separation_tail": float(sep),
+                "l2_sq_bound": float(zmn_l2_upper_bound(cspec, l, exact=True)),
+                "tv_exact": tv,
+                "separation_tail_exact": sep,
+            }
+
+    else:
+        exact = _use_exact(args.backend, args.n)
+        kernel = flip_weight_kernel(WalkSpec(args.n, args.k, args.p))
+        walk = {"kind": "cube", "n": args.n, "k": args.k, "p": _fmt(args.p)}
+
+        def columns(l, dist):
+            tv = tv_to_uniform(dist)
+            l2 = l2_to_uniform(dist)
+            if exact:
+                return {"tv": float(tv), "l2_sq": float(l2), "tv_exact": tv, "l2_sq_exact": l2}
+            return {"tv": tv, "l2_sq": l2}
+
     dist = WeightDistribution.delta(args.n)
     if not exact:
         dist = dist.to_float()
@@ -193,46 +222,8 @@ def _cmd_tv(args) -> int:
     for l in range(args.steps + 1):
         if l:
             dist = evolve(dist, kernel, 1)
-        tv = tv_to_uniform(dist)
-        l2 = l2_to_uniform(dist)
-        if exact:
-            rows.append(
-                {"l": l, "tv": float(tv), "l2_sq": float(l2), "tv_exact": tv, "l2_sq_exact": l2}
-            )
-        else:
-            rows.append({"l": l, "tv": tv, "l2_sq": l2})
-    payload = {
-        "walk": {"kind": "cube", "n": args.n, "k": args.k, "p": _fmt(args.p)},
-        "backend": "exact" if exact else "float",
-        "rows": rows,
-    }
-    _emit(args, "tv", payload, rows)
-    return 0
-
-
-def _cmd_tv_cyclic(args) -> int:
-    if args.backend == "float":
-        raise ValueError("the cyclic TV curve is exact-only; use --backend exact or auto")
-    cspec = CyclicWalkSpec(args.n, args.m, args.k)
-    rows = []
-    for l in range(args.steps + 1):
-        tv = zmn_exact_tv(cspec, l)
-        sep = separation_tail(cspec, l)
-        rows.append(
-            {
-                "l": l,
-                "tv": float(tv),
-                "separation_tail": float(sep),
-                "l2_sq_bound": float(zmn_l2_upper_bound(cspec, l, exact=True)),
-                "tv_exact": tv,
-                "separation_tail_exact": sep,
-            }
-        )
-    payload = {
-        "walk": {"kind": "cyclic", "n": args.n, "m": args.m, "k": args.k},
-        "backend": "exact",
-        "rows": rows,
-    }
+        rows.append({"l": l, **columns(l, dist)})
+    payload = {"walk": walk, "backend": "exact" if exact else "float", "rows": rows}
     _emit(args, "tv", payload, rows)
     return 0
 

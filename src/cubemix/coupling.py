@@ -64,33 +64,6 @@ class CoupledState:
         return self.y == 0
 
 
-def partner_assignment(n: int, chosen, mismatches) -> dict[int, int]:
-    """Pair each chosen mismatched index with a free mismatched index.
-
-    Chosen-and-mismatched indices are processed in increasing order; each
-    maps to the first mismatched index that is neither chosen nor already
-    assigned, scanning upward from it and wrapping at n.  Requires
-    |chosen & mismatches| <= |mismatches| / 2 so the scan always succeeds.
-    """
-    chosen = frozenset(chosen)
-    mismatches = frozenset(mismatches)
-    picked = sorted(chosen & mismatches)
-    if 2 * len(picked) > len(mismatches):
-        raise ValueError(
-            f"partner_assignment needs |chosen & mismatches| <= |mismatches|/2, "
-            f"got {len(picked)} of {len(mismatches)}"
-        )
-    taken: set[int] = set()
-    out: dict[int, int] = {}
-    for i in picked:
-        j = (i + 1) % n
-        while j in chosen or j not in mismatches or j in taken:
-            j = (j + 1) % n
-        out[i] = j
-        taken.add(j)
-    return out
-
-
 def _even_x2_flipset(mismask: int, smask: int) -> int:
     """Flip mask applied to x2 when x1 flips smask, for even |mismask|."""
     inter = smask & mismask

@@ -5,7 +5,11 @@ Hamming weight only, so the full 2^n-state chain lumps to an (n+1)-state
 birth-death-like chain: from weight w, flipping a k-set that hits the
 current support in i places moves to w + k - 2i with hypergeometric
 probability.  The same lumping carries the coupling analysis and the
-touched-coordinate chain of the (Z/mZ)^n walk.
+touched-coordinate chain of the (Z/mZ)^n walk.  Both walks share one
+idiom: a kernel, a point start stepped by evolve(), and reductions of the
+resulting profile -- tv_to_uniform and l2_to_uniform of the cube's weight
+profile, zmn_exact_tv and separation_tail of the cyclic walk's
+touched-count profile.
 
 Every kernel is integer numerators over one denominator, and so is
 every exact distance: each reduction sums integers and builds a single
@@ -366,7 +370,7 @@ def full_transition_matrix(spec: WalkSpec) -> np.ndarray:
     return P
 
 
-def spectral_dist(spec: WalkSpec, l: int, max_n: int = EXACT_BACKEND_MAX_N) -> WeightDistribution:
+def spectral_dist(spec: WalkSpec, l: int) -> WeightDistribution:
     """Exact weight distribution after l steps via character inversion.
 
     P^l(x) = 2^-n sum_z eigenvalue(|z|)^l (-1)^(z.x); summing characters of
@@ -376,8 +380,10 @@ def spectral_dist(spec: WalkSpec, l: int, max_n: int = EXACT_BACKEND_MAX_N) -> W
     regime is served by evolve() on the lumped kernel instead.
     """
     n = spec.n
-    if n > max_n:
-        raise ValueError(f"spectral_dist is exact-only and limited to n <= {max_n}, got n={n}")
+    if n > EXACT_BACKEND_MAX_N:
+        raise ValueError(
+            f"spectral_dist is exact-only and limited to n <= {EXACT_BACKEND_MAX_N}, got n={n}"
+        )
     if l < 0:
         raise ValueError(f"spectral_dist requires l >= 0, got l={l}")
     eig_nums, eig_den = cube_eigen_numerators(spec)
@@ -405,36 +411,33 @@ def touched_weight_kernel(cspec: CyclicWalkSpec) -> WeightKernel:
     return WeightKernel(n, rows=rows, den=math.comb(n, k))
 
 
-def _touched_profile(cspec: CyclicWalkSpec, l: int) -> WeightDistribution:
-    return evolve(WeightDistribution.delta(cspec.n), touched_weight_kernel(cspec), l)
+def separation_tail(touched: WeightDistribution) -> Fraction:
+    """P(some coordinate is still untouched), exact, from the touched profile.
 
-
-def separation_tail(cspec: CyclicWalkSpec, l: int) -> Fraction:
-    """P(some coordinate is still untouched after l steps), exact.
-
+    touched is the exact law of the touched count after l steps,
+    evolve(WeightDistribution.delta(n), touched_weight_kernel(cspec), l).
     The first time every coordinate has been randomized is a strong
     stationary time for the (Z/mZ)^n walk, so this tail dominates both
     separation and TV distance.
     """
-    prof = _touched_profile(cspec, l)
-    return 1 - Fraction(prof.nums[cspec.n], prof.den)
+    return 1 - Fraction(touched.nums[touched.n], touched.den)
 
 
-def zmn_exact_tv(cspec: CyclicWalkSpec, l: int) -> Fraction:
-    """Exact TV distance to uniform on m^n after l steps.
+def zmn_exact_tv(touched: WeightDistribution, m: int) -> Fraction:
+    """Exact TV distance to uniform on m^n, from the touched profile.
 
-    Conditioned on the touched set T, the position is uniform on the
-    coordinates of T and zero elsewhere, so the law depends on x only
-    through |support(x)| and the distance reduces to an (n+1)^2 sum.
+    touched is as in separation_tail.  Conditioned on the touched set T,
+    the position is uniform on the coordinates of T and zero elsewhere, so
+    the law depends on x only through |support(x)| and the distance
+    reduces to an (n+1)^2 sum.
     """
-    n, m = cspec.n, cspec.m
-    prof = _touched_profile(cspec, l)
+    n = touched.n
     # For x of support size s, since C(n-s,w-s)/C(n,w) = C(w,s)/C(n,s),
     # den m^n C(n,s) P(x) = sum_w nums_w C(w,s) m^(n-w).
-    scaled = [(w, v * m ** (n - w)) for w, v in enumerate(prof.nums) if v]
+    scaled = [(w, v * m ** (n - w)) for w, v in enumerate(touched.nums) if v]
     mult = binom_row(n)
     total = 0
     for s in range(n + 1):
         ps = sum(t * math.comb(w, s) for w, t in scaled if w >= s)
-        total += (m - 1) ** s * abs(ps - prof.den * mult[s])
-    return Fraction(total, 2 * prof.den * m**n)
+        total += (m - 1) ** s * abs(ps - touched.den * mult[s])
+    return Fraction(total, 2 * touched.den * m**n)

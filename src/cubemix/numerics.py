@@ -9,8 +9,9 @@ Two numeric regimes are used throughout the package:
     magnitudes are carried as natural logarithms (plain floats) and sums are
     accumulated with math.fsum, which is exactly rounded.
 
-All logarithms are natural logs.  The default crossover between the two
-regimes is EXACT_BACKEND_MAX_N; callers can override it per call.
+All logarithms are natural logs.  The crossover between the two regimes is
+EXACT_BACKEND_MAX_N, fixed: the automatic backend choices (the CLI's and
+the l2 bounds') and spectral_dist's exact-only limit all compare against it.
 """
 
 from __future__ import annotations
@@ -42,10 +43,17 @@ def binom(n: int, k: int) -> int:
 
 @lru_cache(maxsize=1024)
 def binom_row(n: int) -> tuple[int, ...]:
-    """The full row (C(n,0), ..., C(n,n)), cached for scan-heavy loops."""
+    """The full row (C(n,0), ..., C(n,n)), cached for scan-heavy loops.
+
+    Built by C(n,i+1) = C(n,i) (n-i) / (i+1), exact at every step: one
+    big-by-small product per entry instead of a full math.comb each.
+    """
     if n < 0:
         raise ValueError(f"binom_row requires n >= 0, got n={n}")
-    return tuple(math.comb(n, i) for i in range(n + 1))
+    row = [1]
+    for i in range(n):
+        row.append(row[-1] * (n - i) // (i + 1))
+    return tuple(row)
 
 
 def log_binom(n: int, k: int) -> float:

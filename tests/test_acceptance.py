@@ -39,6 +39,7 @@ from cubemix import (
     separation_tail,
     simulate_coupling,
     spectral_dist,
+    touched_weight_kernel,
     tv_to_uniform,
     verify_eigenvalue_three_quarters,
     verify_half_flip_pick_bounds,
@@ -298,9 +299,14 @@ def test_criterion_12_cyclic_schedule_and_separation():
             for k in range(1, n + 1):
                 cspec = CyclicWalkSpec(n, m, k)
                 lmax = cyclic_step_bound(n, m, k, 2.0).steps
-                tvs = [zmn_exact_tv(cspec, l) for l in range(lmax + 1)]
-                for l, tv in enumerate(tvs):
-                    assert tv <= separation_tail(cspec, l), (n, m, k, l)
+                kern = touched_weight_kernel(cspec)
+                prof = WeightDistribution.delta(n)
+                tvs = []
+                for l in range(lmax + 1):
+                    if l:
+                        prof = evolve(prof, kern, 1)
+                    tvs.append(zmn_exact_tv(prof, m))
+                    assert tvs[l] <= separation_tail(prof), (n, m, k, l)
                 for c in (0.0, 1.0, 2.0):
                     l = cyclic_step_bound(n, m, k, c).steps
                     tv = tvs[l]

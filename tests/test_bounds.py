@@ -11,10 +11,12 @@ from cubemix import (
     MomentPair,
     REPORTED_MIXING_TIME_EXAMPLES,
     WalkSpec,
+    WeightDistribution,
     chebyshev_lower_bound,
     comparison_step_bound,
     coupling_upper_bound_steps,
     cyclic_step_bound,
+    evolve,
     exact_weight_statistic_moments,
     flip_weight_kernel,
     half_flip_step_bound,
@@ -22,6 +24,7 @@ from cubemix import (
     reported_steps_comparison,
     second_moment_lower_bound,
     spectral_dist,
+    touched_weight_kernel,
     tv_to_uniform,
     weight_eigenfunction,
     weight_statistic_moments,
@@ -240,7 +243,8 @@ def test_cyclic_step_bound_actually_holds():
     for n, m, k in [(3, 2, 1), (4, 3, 2), (5, 2, 2)]:
         for c in [0.0, 1.0]:
             steps = cyclic_step_bound(n, m, k, c).steps
-            tv = zmn_exact_tv(CyclicWalkSpec(n, m, k), steps)
+            kern = touched_weight_kernel(CyclicWalkSpec(n, m, k))
+            tv = zmn_exact_tv(evolve(WeightDistribution.delta(n), kern, steps), m)
             assert float(4 * tv * tv) <= math.exp(-c) + 1e-12
 
 

@@ -17,6 +17,7 @@ from cubemix import (
     WalkSpec,
     WeightDistribution,
 )
+from cubemix import cli, exactdist
 from cubemix.cli import main
 
 
@@ -86,6 +87,28 @@ def test_tv_cyclic_curve(tmp_path):
     assert lines[1].split(",")[5] == "1/1"
     # The cyclic curve has no float backend.
     assert main(["tv", "--n", "3", "--k", "1", "--m", "2", "--steps", "2", "--backend", "float", "--output", str(out)]) == 1
+
+
+def test_tv_cyclic_curve_steps_once_per_l(tmp_path, monkeypatch):
+    # like the cube curve: one kernel build, then one evolve step per l
+    builds, steps = [], []
+    real_kernel, real_evolve = exactdist.touched_weight_kernel, exactdist.evolve
+
+    def kernel(cspec):
+        builds.append(cspec)
+        return real_kernel(cspec)
+
+    def stepped(dist, kern, n_steps):
+        steps.append(n_steps)
+        return real_evolve(dist, kern, n_steps)
+
+    for module in (cli, exactdist):
+        monkeypatch.setattr(module, "touched_weight_kernel", kernel, raising=False)
+        monkeypatch.setattr(module, "evolve", stepped, raising=False)
+    out = str(tmp_path / "tvc.csv")
+    assert main(["tv", "--n", "10", "--m", "3", "--k", "2", "--steps", "20", "--output", out]) == 0
+    assert len(builds) == 1
+    assert steps == [1] * 20
 
 
 def test_spectrum_csv_exact(tmp_path):

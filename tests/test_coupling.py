@@ -17,7 +17,6 @@ from cubemix import (
     coupling_weight_kernel,
     expected_coupling_time,
     marginal_check,
-    partner_assignment,
     simulate_coupling,
     spectral_dist,
     tv_to_uniform,
@@ -36,6 +35,33 @@ def test_coupled_state_basics():
     assert CoupledState(4, 9, 9).coalesced
     with pytest.raises(ValueError):
         CoupledState(3, 8, 0)
+
+
+def partner_assignment(n: int, chosen, mismatches) -> dict[int, int]:
+    """Set-level reference for _even_x2_flipset's partner scan.
+
+    Pairs each chosen mismatched index with a free mismatched index.  Chosen-and-mismatched indices are processed in increasing order; each
+    maps to the first mismatched index that is neither chosen nor already
+    assigned, scanning upward from it and wrapping at n.  Requires
+    |chosen & mismatches| <= |mismatches| / 2 so the scan always succeeds.
+    """
+    chosen = frozenset(chosen)
+    mismatches = frozenset(mismatches)
+    picked = sorted(chosen & mismatches)
+    if 2 * len(picked) > len(mismatches):
+        raise ValueError(
+            f"partner_assignment needs |chosen & mismatches| <= |mismatches|/2, "
+            f"got {len(picked)} of {len(mismatches)}"
+        )
+    taken: set[int] = set()
+    out: dict[int, int] = {}
+    for i in picked:
+        j = (i + 1) % n
+        while j in chosen or j not in mismatches or j in taken:
+            j = (j + 1) % n
+        out[i] = j
+        taken.add(j)
+    return out
 
 
 def test_partner_assignment_examples():

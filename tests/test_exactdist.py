@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cubemix import (
+    EXACT_BACKEND_MAX_N,
     CyclicWalkSpec,
     WalkSpec,
     WeightDistribution,
@@ -217,7 +218,7 @@ def test_brute_force_validation():
     with pytest.raises(ValueError):
         list(brute_force_curve(WalkSpec(15, 1), 1))
     with pytest.raises(ValueError):
-        spectral_dist(WalkSpec(10, 3), 1, max_n=8)
+        spectral_dist(WalkSpec(EXACT_BACKEND_MAX_N + 1, 3), 1)
 
 
 def test_spectral_dist_large_instance_consistency():
@@ -246,18 +247,29 @@ def test_touched_kernel_structure():
     assert kern.rows[5] == {5: math.comb(5, 2)}
 
 
+def _touched_curve(cspec, lmax):
+    """Touched-count profiles for l = 0..lmax, stepping one profile."""
+    kern = touched_weight_kernel(cspec)
+    prof = WeightDistribution.delta(cspec.n)
+    yield prof
+    for _ in range(lmax):
+        prof = evolve(prof, kern, 1)
+        yield prof
+
+
 def test_separation_tail_basics():
     cspec = CyclicWalkSpec(4, 3, 2)
-    assert separation_tail(cspec, 0) == 1
-    values = [separation_tail(cspec, l) for l in range(11)]
+    assert separation_tail(WeightDistribution.delta(4)) == 1
+    values = [separation_tail(prof) for prof in _touched_curve(cspec, 10)]
     assert all(a >= b for a, b in zip(values, values[1:]))
     assert values[-1] < Fraction(1, 10)
 
 
 def test_zmn_tv_l0_is_point_mass_distance():
     for n, m, k in [(3, 2, 1), (4, 3, 2), (5, 2, 3)]:
-        cspec = CyclicWalkSpec(n, m, k)
-        assert zmn_exact_tv(cspec, 0) == 1 - Fraction(1, m**n)
+        kern = touched_weight_kernel(CyclicWalkSpec(n, m, k))
+        touched = evolve(WeightDistribution.delta(n), kern, 0)
+        assert zmn_exact_tv(touched, m) == 1 - Fraction(1, m**n)
 
 
 def _naive_zmn_tv(n, m, k, lmax):
@@ -292,17 +304,17 @@ def test_zmn_tv_vs_naive_full_state_oracle():
     for n, m, k in [(3, 2, 1), (2, 3, 1), (3, 2, 2), (2, 2, 2)]:
         cspec = CyclicWalkSpec(n, m, k)
         naive = _naive_zmn_tv(n, m, k, 4)
-        for l, expected in enumerate(naive):
-            assert zmn_exact_tv(cspec, l) == expected
+        for prof, expected in zip(_touched_curve(cspec, 4), naive, strict=True):
+            assert zmn_exact_tv(prof, m) == expected
 
 
 def test_zmn_distance_chain():
     # TV <= separation tail, and 4 TV^2 <= the l2 character bound.
     for n, m, k in [(3, 2, 1), (4, 3, 2), (5, 2, 2)]:
         cspec = CyclicWalkSpec(n, m, k)
-        for l in range(7):
-            tv = zmn_exact_tv(cspec, l)
-            assert tv <= separation_tail(cspec, l)
+        for l, prof in enumerate(_touched_curve(cspec, 6)):
+            tv = zmn_exact_tv(prof, m)
+            assert tv <= separation_tail(prof)
             assert 4 * tv * tv <= zmn_l2_upper_bound(cspec, l)
 
 
@@ -361,6 +373,6 @@ def test_zmn_exact_tv_matches_fraction_oracle():
             checked = {0, rng.randrange(1, 30), 30}
             for l in range(31):
                 for m in (2, 3, 5) if l in checked else ():
-                    got = zmn_exact_tv(CyclicWalkSpec(n, m, k), l)
+                    got = zmn_exact_tv(prof, m)
                     assert got == _fraction_zmn_tv(prof, m), (n, m, k, l)
                 prof = evolve(prof, kern, 1)

@@ -39,7 +39,7 @@ def test_binom_negative_n_raises():
 
 
 def test_binom_row_is_full_row():
-    for n in (0, 1, 7, 23):
+    for n in (0, 1, 7, 23, 400, 1100, 5000):
         assert binom_row(n) == tuple(math.comb(n, k) for k in range(n + 1))
 
 
