@@ -55,9 +55,9 @@ from .numerics import EXACT_BACKEND_MAX_N
 from .spectrum import (
     CyclicWalkSpec,
     WalkSpec,
+    _l2_curve,
     cube_spectrum,
     verify_eigenvalue_three_quarters,
-    zmn_l2_upper_bound,
     zmn_spectrum,
 )
 
@@ -183,37 +183,41 @@ def _cmd_tv(args) -> int:
     if args.steps < 0:
         raise ValueError(f"tv requires --steps >= 0, got --steps={args.steps}")
     # each walk supplies its kernel, walk header and row columns; the
-    # curve itself is one point start stepped once per l
+    # curve itself is one point start stepped once per l, and an exact
+    # curve reads its l2 column from the eigenvalue powers, one value per l
     if args.m is not None:
         if args.backend == "float":
             raise ValueError("the cyclic TV curve is exact-only; use --backend exact or auto")
         exact = True
         cspec = CyclicWalkSpec(args.n, args.m, args.k)
         kernel = touched_weight_kernel(cspec)
+        l2s = _l2_curve(cspec)
         walk = {"kind": "cyclic", "n": args.n, "m": args.m, "k": args.k}
 
-        def columns(l, touched):
+        def columns(touched):
             tv = zmn_exact_tv(touched, args.m)
             sep = separation_tail(touched)
             return {
                 "tv": float(tv),
                 "separation_tail": float(sep),
-                "l2_sq_bound": float(zmn_l2_upper_bound(cspec, l, exact=True)),
+                "l2_sq_bound": float(next(l2s)),
                 "tv_exact": tv,
                 "separation_tail_exact": sep,
             }
 
     else:
         exact = _use_exact(args.backend, args.n)
-        kernel = flip_weight_kernel(WalkSpec(args.n, args.k, args.p))
+        spec = WalkSpec(args.n, args.k, args.p)
+        kernel = flip_weight_kernel(spec)
+        l2s = _l2_curve(spec)
         walk = {"kind": "cube", "n": args.n, "k": args.k, "p": _fmt(args.p)}
 
-        def columns(l, dist):
+        def columns(dist):
             tv = tv_to_uniform(dist)
-            l2 = l2_to_uniform(dist)
             if exact:
+                l2 = next(l2s)
                 return {"tv": float(tv), "l2_sq": float(l2), "tv_exact": tv, "l2_sq_exact": l2}
-            return {"tv": tv, "l2_sq": l2}
+            return {"tv": tv, "l2_sq": l2_to_uniform(dist)}
 
     dist = WeightDistribution.delta(args.n)
     if not exact:
@@ -222,7 +226,7 @@ def _cmd_tv(args) -> int:
     for l in range(args.steps + 1):
         if l:
             dist = evolve(dist, kernel, 1)
-        rows.append({"l": l, **columns(l, dist)})
+        rows.append({"l": l, **columns(dist)})
     payload = {"walk": walk, "backend": "exact" if exact else "float", "rows": rows}
     _emit(args, "tv", payload, rows)
     return 0

@@ -38,7 +38,7 @@ from itertools import combinations
 import numpy as np
 
 from .exactdist import WeightDistribution, WeightKernel, evolve
-from .numerics import binom_row, cmp_with_ln2, hypergeom_numerators
+from .numerics import binom_row, cmp_ratio_with_ln2, hypergeom_numerators
 from .spectrum import WalkSpec
 
 MARGINAL_CHECK_MAX_N = 8
@@ -521,7 +521,11 @@ def verify_pick_fraction_bounds(n_max: int, parts=tuple(range(1, 10))) -> PickBo
     Part 1 certifies unimodality of the overlap pmf by exact ratio
     comparisons and checks the nominal mode threshold against the ratio
     test.  Everything is integer arithmetic; bounds involving sqrt 2 are
-    decided by squaring.
+    decided by squaring.  q is classified by comparing yk with n and 2n
+    and 2yk/n with the ln 2 brackets, each part's running minimum is kept
+    as an integer pair (numerator, positive denominator) compared by
+    cross-multiplying, and Fractions are built only for the output: the
+    stored violation samples and the final minima.
     """
     parts = tuple(sorted(set(parts)))
     if any(p < 1 or p > 9 for p in parts):
@@ -532,8 +536,8 @@ def verify_pick_fraction_bounds(n_max: int, parts=tuple(range(1, 10))) -> PickBo
     checked = {p: 0 for p in parts}
     nviol = {p: 0 for p in parts}
     samples: dict[int, list] = {p: [] for p in parts}
-    min_val: dict[int, Fraction | None] = {p: None for p in parts}
-    min_wit: dict[int, tuple | None] = {p: None for p in parts}
+    # part -> (numerator, denominator, witness) of the smallest value so far
+    min_pair: dict[int, tuple | None] = {p: None for p in parts}
     want_sum = [p for p in parts if p != 1]
     want_mode = 1 in parts
 
@@ -544,18 +548,20 @@ def verify_pick_fraction_bounds(n_max: int, parts=tuple(range(1, 10))) -> PickBo
             for y in range(1, n + 1):
                 ry = binom_row(y)
                 rny = binom_row(n - y)
+                yk = y * k
                 if want_mode:
                     checked[1] += 1
                     lo = max(0, k - (n - y))
                     hi = min(y, k)
+                    # nominal threshold (yk - n + y + k)/(n + 1)
+                    tnum, tden = yk - n + y + k, n + 1
+                    base = n - y - k + 1
                     for i in range(lo, hi):
-                        inc = (y - i) * (k - i) >= (i + 1) * (n - y - k + i + 1)
-                        # nominal threshold (yk - n + y + k)/(n + 1)
-                        tnum, tden = y * k - n + y + k, n + 1
+                        up = (y - i) * (k - i)
+                        down = (i + 1) * (base + i)
+                        inc = up >= down
                         bad = ((i + 1) * tden <= tnum and not inc) or (
-                            i * tden >= tnum
-                            and inc
-                            and (y - i) * (k - i) != (i + 1) * (n - y - k + i + 1)
+                            i * tden >= tnum and inc and up != down
                         )
                         if bad:
                             nviol[1] += 1
@@ -563,12 +569,11 @@ def verify_pick_fraction_bounds(n_max: int, parts=tuple(range(1, 10))) -> PickBo
                                 samples[1].append((n, k, y, i))
                 if not want_sum:
                     continue
-                q2n = Fraction(y * k, n)
-                if q2n >= 2:
+                if yk >= 2 * n:
                     part = 2
-                elif q2n >= 1:
+                elif yk >= n:
                     part = 3
-                elif cmp_with_ln2(2 * q2n) >= 0:
+                elif cmp_ratio_with_ln2(2 * yk, n) >= 0:
                     part = 4
                 else:
                     part = 5
@@ -578,31 +583,31 @@ def verify_pick_fraction_bounds(n_max: int, parts=tuple(range(1, 10))) -> PickBo
                     continue
                 checked[part] += 1
                 upper = min(y // 2, k)
-                lower = -(-(y * k) // (2 * n)) if part in (2, 6) else 1
+                lower = -(-yk // (2 * n)) if part in (2, 6) else 1
                 s = 0
                 for i in range(max(lower, 0, k - (n - y)), min(upper, y, k) + 1):
                     s += ry[i] * rny[k - i]
-                prob = Fraction(s, 2 * C)
                 if part in (2, 6):
                     ok = 4 * s >= C
-                    val = prob
                 elif part in (3, 7):
                     ok = 3 * s >= C
-                    val = prob
                 elif part in (4, 8):
                     t = 2 * C - 4 * s
                     ok = t <= 0 or 2 * C * C >= t * t
-                    val = prob
                 else:
-                    ok = 4 * s * n >= C * y * k
-                    val = prob - Fraction(y * k, 8 * n)
-                if min_val[part] is None or val < min_val[part]:
-                    min_val[part] = val
-                    min_wit[part] = (n, k, y)
+                    ok = 4 * s * n >= C * yk
+                # the value as (num, den): P = s/2C, or the slack P - yk/8n
+                if part in (5, 9):
+                    num, den = 4 * n * s - C * yk, 8 * n * C
+                else:
+                    num, den = s, 2 * C
+                best = min_pair[part]
+                if best is None or num * best[1] < best[0] * den:
+                    min_pair[part] = (num, den, (n, k, y))
                 if not ok:
                     nviol[part] += 1
                     if len(samples[part]) < _SAMPLE_CAP:
-                        samples[part].append((n, k, y, prob))
+                        samples[part].append((n, k, y, Fraction(s, 2 * C)))
 
     reports = []
     odd_only = True
@@ -616,14 +621,15 @@ def verify_pick_fraction_bounds(n_max: int, parts=tuple(range(1, 10))) -> PickBo
             )
         elif nviol[p] and all(w[2] == 1 for w in samples[p]):
             note = "violations occur at y = 1 where the integer range [1, y/2] is empty"
+        best = min_pair[p]
         reports.append(
             PickPartReport(
                 part=p,
                 checked=checked[p],
                 violations=nviol[p],
                 violation_samples=tuple(samples[p]),
-                min_value=min_val.get(p),
-                min_witness=min_wit.get(p),
+                min_value=Fraction(best[0], best[1]) if best else None,
+                min_witness=best[2] if best else None,
                 value_kind="slack" if p in (5, 9) else "prob",
                 note=note,
             )

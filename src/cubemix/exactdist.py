@@ -411,6 +411,11 @@ def touched_weight_kernel(cspec: CyclicWalkSpec) -> WeightKernel:
     return WeightKernel(n, rows=rows, den=math.comb(n, k))
 
 
+def _require_exact_touched(touched: WeightDistribution, op: str) -> None:
+    if not touched.exact:
+        raise ValueError(f"{op} is exact-only: it needs the exact touched-count profile, got a float one")
+
+
 def separation_tail(touched: WeightDistribution) -> Fraction:
     """P(some coordinate is still untouched), exact, from the touched profile.
 
@@ -420,6 +425,7 @@ def separation_tail(touched: WeightDistribution) -> Fraction:
     stationary time for the (Z/mZ)^n walk, so this tail dominates both
     separation and TV distance.
     """
+    _require_exact_touched(touched, "separation_tail")
     return 1 - Fraction(touched.nums[touched.n], touched.den)
 
 
@@ -431,6 +437,7 @@ def zmn_exact_tv(touched: WeightDistribution, m: int) -> Fraction:
     the law depends on x only through |support(x)| and the distance
     reduces to an (n+1)^2 sum.
     """
+    _require_exact_touched(touched, "zmn_exact_tv")
     n = touched.n
     # For x of support size s, since C(n-s,w-s)/C(n,w) = C(w,s)/C(n,s),
     # den m^n C(n,s) P(x) = sum_w nums_w C(w,s) m^(n-w).

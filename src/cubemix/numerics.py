@@ -111,8 +111,17 @@ def cmp_with_ln2(q: Fraction) -> int:
     Raises if q falls inside the 1e-38 bracket, which cannot happen for the
     small-denominator rationals this package compares.
     """
-    if q <= LN2_LO:
+    return cmp_ratio_with_ln2(q.numerator, q.denominator)
+
+
+def cmp_ratio_with_ln2(num: int, den: int) -> int:
+    """Sign of num/den - ln 2 for den > 0, in integers: cmp_with_ln2 without a Fraction.
+
+    Each bracket is compared by cross-multiplying, so hot loops that hold
+    q as an integer ratio pay no gcd.
+    """
+    if num * LN2_LO.denominator <= LN2_LO.numerator * den:
         return -1
-    if q >= LN2_HI:
+    if num * LN2_HI.denominator >= LN2_HI.numerator * den:
         return 1
-    raise ArithmeticError(f"q={q} is too close to ln 2 for the stored brackets")
+    raise ArithmeticError(f"q={Fraction(num, den)} is too close to ln 2 for the stored brackets")

@@ -10,7 +10,11 @@ its eigenvalue on a character of support size w is C(n-w,k)/C(n,k)
 
 Every eigenvalue comes from a table of integer numerators over one
 denominator (cube_eigen_numerators, _zmn_eigen_numerators), and both
-walks' l2 bounds are one sum over such a table (_l2_sum).  Exact rational
+walks' l2 bounds are one sum over such a table (_l2_sum).  _l2_curve
+yields the same exact sum for l = 0, 1, 2, ... by carrying each term's
+power forward, one multiplication by a small squared numerator per term
+and step; from a point start it is the chi-square curve, so the CLI's
+exact tv curves read their l2 column from it.  Exact rational
 spectra are the default up to EXACT_BACKEND_MAX_N coordinates; beyond
 that, bound evaluation switches to log-space floats with exactly rounded
 accumulation (math.fsum).
@@ -161,6 +165,31 @@ def _l2_sum(mults, nums, den, l: int, exact: bool | None):
             log_eig = math.log(r) if r >= sys.float_info.min else math.log(abs(v)) - math.log(den)
             logs.append(math.log(c) + 2 * l * log_eig)
     return fsum_exp(logs)
+
+
+def _l2_curve(spec):
+    """Yield the exact l2 sum of a cube or cyclic walk for l = 0, 1, 2, ...
+
+    The l-th value equals l2_upper_bound(spec, l, exact=True), or
+    zmn_l2_upper_bound(spec, l, exact=True) for a CyclicWalkSpec: one
+    _l2_sum over the same table.  Each term mults_j nums_j^{2l} is kept
+    and multiplied by the small nums_j^2 per step, a big-by-small product
+    instead of a fresh power.  The l = 0 terms are the multiplicities
+    themselves, so the zero eigenvalues count there as 0**0 == 1 does.
+    """
+    if isinstance(spec, CyclicWalkSpec):
+        nums, den = _zmn_eigen_numerators(spec)
+        mults = _zmn_multiplicities(spec.n, spec.m)
+    else:
+        nums, den = cube_eigen_numerators(spec)
+        mults = binom_row(spec.n)
+    terms = list(mults[1:])
+    squares = [v * v for v in nums[1:]]
+    den_sq, den_pow = den * den, 1
+    while True:
+        yield Fraction(sum(terms), den_pow)
+        terms = [t * v for t, v in zip(terms, squares)]
+        den_pow *= den_sq
 
 
 def l2_lower_bound_odd_levels(spec: WalkSpec, l: int) -> Fraction:

@@ -17,7 +17,7 @@ from cubemix import (
     WalkSpec,
     WeightDistribution,
 )
-from cubemix import cli, exactdist
+from cubemix import cli, exactdist, spectrum
 from cubemix.cli import main
 
 
@@ -109,6 +109,28 @@ def test_tv_cyclic_curve_steps_once_per_l(tmp_path, monkeypatch):
     assert main(["tv", "--n", "10", "--m", "3", "--k", "2", "--steps", "20", "--output", out]) == 0
     assert len(builds) == 1
     assert steps == [1] * 20
+
+
+def test_exact_tv_curves_read_l2_from_eigenvalue_powers(tmp_path, monkeypatch):
+    # an exact curve takes its l2 column from the eigenvalue-power curve, so
+    # neither per-l reduction runs; the float curve still reduces every l
+    calls = {"l2_to_uniform": 0, "zmn_l2_upper_bound": 0}
+    for module in (cli, exactdist, spectrum):
+        for name in calls:
+            real = getattr(module, name, None)
+            if real is not None:
+
+                def counted(*args, _real=real, _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    out = str(tmp_path / "tv.csv")
+    for argv in (["--n", "10", "--k", "3"], ["--n", "10", "--m", "3", "--k", "3"]):
+        assert main(["tv", *argv, "--steps", "20", "--output", out]) == 0
+    assert calls == {"l2_to_uniform": 0, "zmn_l2_upper_bound": 0}
+    assert main(["tv", "--n", "10", "--k", "3", "--steps", "20", "--backend", "float", "--output", out]) == 0
+    assert calls == {"l2_to_uniform": 21, "zmn_l2_upper_bound": 0}
 
 
 def test_spectrum_csv_exact(tmp_path):

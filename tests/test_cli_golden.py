@@ -39,6 +39,9 @@ INVOCATIONS = {
     "verify-eig34": "verify --lemma eig34 --n 6",
     "verify-marginal": "verify --lemma marginal --n 6 --k 3",
     "verify-symmetry": "verify --lemma symmetry --n 10",
+    "verify-general-all": "verify --lemma general --n-max 30",
+    "tv-cube-p": "tv --n 24 --k 5 --p 1/3 --steps 40",
+    "tv-cube-p0": "tv --n 10 --k 4 --p 0 --steps 12",
 }
 
 # (case, format) -> (exit code, SHA-256 of the output file)
@@ -67,6 +70,12 @@ DIGESTS = {
     ("verify-marginal", "json"): (0, "497a833f66575005e214b57d75d31e48e8f5f41e60af5bb0a801ab781c732e54"),
     ("verify-symmetry", "csv"): (0, "23fde4d8647364833b30451c690c9799143020d309e28080edbce65eb67263ae"),
     ("verify-symmetry", "json"): (0, "c8e6d037fd38d065c3fed1b9489f84dabd4f473cb0878c19ae21c816b0fad5ed"),
+    ("verify-general-all", "csv"): (2, "2713e8bd3434ea3f1ce68e884c749a1379586d18cda7dfbddd51bdf770988f7c"),
+    ("verify-general-all", "json"): (2, "04b6622103aebbca27fabf61e591a3b69564439682e3f824ca4b181b671085a1"),
+    ("tv-cube-p", "csv"): (0, "47d73cea9b7d14a1a12b205c6d291cf92700435e64245dae52b393b93e6ead52"),
+    ("tv-cube-p", "json"): (0, "80908ab453e311961b29abe02d663019a0b713e45c2d464c9481b72b6eed9b7b"),
+    ("tv-cube-p0", "csv"): (0, "9595d0e87355ba326074d8cb28987adc30f020235115b1d7529cf0fa186a3dd8"),
+    ("tv-cube-p0", "json"): (0, "084b70b82072f86bdb4f6cc4fd4da57e52e52a5b3e6b0e4df0f0895815cda048"),
 }
 
 

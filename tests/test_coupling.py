@@ -431,6 +431,58 @@ def test_pick_fraction_bounds_frozen_sweep():
     assert any("odd y" in note for note in cert.notes)
 
 
+def _fraction_pick_sweep(n_max):
+    """Parts 2-9 of the pick-fraction sweep in Fractions, straight from the claims.
+
+    part -> (checked, violations, samples, min value, min witness), the
+    value being the probability or, for parts 5 and 9, the slack P - q/8.
+    """
+    out = {p: [0, 0, [], None, None] for p in range(2, 10)}
+    for n in range(2, n_max + 1):
+        for k in range(1, n // 2 + 1):
+            C = math.comb(n, k)
+            for y in range(1, n + 1):
+                q = Fraction(y * k, n)
+                if q >= 2:
+                    part, lower, bound = 2, math.ceil(q / 2), Fraction(1, 8)
+                elif q >= 1:
+                    part, lower, bound = 3, 1, Fraction(1, 6)
+                elif 2 * q > math.log(2):
+                    part, lower, bound = 4, 1, None
+                else:
+                    part, lower, bound = 5, 1, q / 8
+                part += 4 if y < k else 0
+                prob = sum(
+                    Fraction(math.comb(y, i) * math.comb(n - y, k - i), 2 * C)
+                    for i in range(max(lower, 0), min(y // 2, k) + 1)
+                )
+                if bound is None:
+                    # (2 - sqrt 2)/8 <= prob  <=>  2 - 8 prob <= sqrt 2
+                    ok = 2 - 8 * prob <= 0 or (2 - 8 * prob) ** 2 <= 2
+                else:
+                    ok = prob >= bound
+                val = prob - q / 8 if part in (5, 9) else prob
+                rec = out[part]
+                rec[0] += 1
+                if rec[3] is None or val < rec[3]:
+                    rec[3], rec[4] = val, (n, k, y)
+                if not ok:
+                    rec[1] += 1
+                    if len(rec[2]) < 40:
+                        rec[2].append((n, k, y, prob))
+    return out
+
+
+def test_pick_fraction_bounds_match_fraction_oracle():
+    # the sweep classifies q, keeps its minima and decides every claim in
+    # integers; the oracle does all of it in Fractions
+    cert = verify_pick_fraction_bounds(45, parts=range(2, 10))
+    oracle = _fraction_pick_sweep(45)
+    for r in cert.reports:
+        got = [r.checked, r.violations, list(r.violation_samples), r.min_value, r.min_witness]
+        assert got == oracle[r.part], r.part
+
+
 def test_pick_fraction_bounds_part_filter_and_domain():
     sub = verify_pick_fraction_bounds(12, parts=(2, 3))
     assert sub.parts == (2, 3)

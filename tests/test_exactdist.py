@@ -300,6 +300,15 @@ def _naive_zmn_tv(n, m, k, lmax):
     return out
 
 
+def test_touched_reductions_reject_float_profiles():
+    cspec = CyclicWalkSpec(5, 3, 2)
+    touched = evolve(WeightDistribution.delta(5).to_float(), touched_weight_kernel(cspec), 3)
+    with pytest.raises(ValueError, match="zmn_exact_tv is exact-only"):
+        zmn_exact_tv(touched, 3)
+    with pytest.raises(ValueError, match="separation_tail is exact-only"):
+        separation_tail(touched)
+
+
 def test_zmn_tv_vs_naive_full_state_oracle():
     for n, m, k in [(3, 2, 1), (2, 3, 1), (3, 2, 2), (2, 2, 2)]:
         cspec = CyclicWalkSpec(n, m, k)

@@ -15,6 +15,7 @@ from cubemix.numerics import (
     LN2_LO,
     binom,
     binom_row,
+    cmp_ratio_with_ln2,
     cmp_with_ln2,
     hypergeom_numerators,
     log_binom,
@@ -88,3 +89,19 @@ def test_cmp_with_ln2():
     assert cmp_with_ln2(Fraction(1)) == 1
     with pytest.raises(ArithmeticError):
         cmp_with_ln2((LN2_LO + LN2_HI) / 2)
+
+
+def test_cmp_ratio_with_ln2():
+    # far from the bracket the sign is that of the float comparison, for
+    # reduced and unreduced ratios alike
+    for den in range(1, 300):
+        for num in range(0, 2 * den):
+            want = -1 if num / den < math.log(2) else 1
+            assert cmp_ratio_with_ln2(num, den) == want, (num, den)
+            assert cmp_ratio_with_ln2(3 * num, 3 * den) == want, (num, den)
+    # the bracket ends are inclusive, as in cmp_with_ln2
+    lo, hi = LN2_LO, LN2_HI
+    assert cmp_ratio_with_ln2(lo.numerator, lo.denominator) == -1
+    assert cmp_ratio_with_ln2(2 * hi.numerator, 2 * hi.denominator) == 1
+    with pytest.raises(ArithmeticError, match="too close to ln 2"):
+        cmp_ratio_with_ln2(2 * (lo.numerator + 1), 2 * lo.denominator)

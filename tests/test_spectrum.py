@@ -9,8 +9,11 @@ import pytest
 from cubemix import (
     CyclicWalkSpec,
     WalkSpec,
+    WeightDistribution,
     cube_eigenvalue,
     cube_spectrum,
+    evolve,
+    flip_weight_kernel,
     full_transition_matrix,
     kraw_eval,
     kraw_integer_table,
@@ -23,7 +26,7 @@ from cubemix import (
     zmn_l2_upper_bound,
     zmn_spectrum,
 )
-from cubemix.spectrum import cube_eigen_numerators
+from cubemix.spectrum import _l2_curve, cube_eigen_numerators
 
 HALF = Fraction(1, 2)
 
@@ -120,6 +123,45 @@ def test_l2_upper_bound_equals_chi_square_of_point_start():
         spec = WalkSpec(n, k, p)
         for l in range(4):
             assert l2_upper_bound(spec, l) == l2_to_uniform(spectral_dist(spec, l))
+
+
+def _l2_curve_grid():
+    for n in range(1, 17):
+        yield from ((n, k) for k in range(1, n + 1))
+    for n in (25, 40):
+        yield from ((n, k) for k in sorted({1, 2, 3, n // 2, n - 1, n}))
+
+
+def test_l2_curve_is_chi_square_of_point_start():
+    # the eigenvalue-power curve the CLI reads is the chi-square distance of
+    # the evolved point start, step by step; p = 0 brings zero eigenvalues
+    # (and, for odd k, eigenvalue -1), which must still count 0**0 == 1 at l = 0
+    checks = 0
+    for n, k in _l2_curve_grid():
+        for p in (Fraction(0), Fraction(1, 3), HALF):
+            spec = WalkSpec(n, k, p)
+            kernel = flip_weight_kernel(spec)
+            dist = WeightDistribution.delta(n)
+            curve = _l2_curve(spec)
+            for l in range(61):
+                if l:
+                    dist = evolve(dist, kernel, 1)
+                assert next(curve) == l2_to_uniform(dist), (n, k, p, l)
+                checks += 1
+    assert checks == 27084
+
+
+def test_l2_curve_matches_per_l_bounds():
+    for n in range(1, 13):
+        for m in (2, 3, 5):
+            for k in range(1, n + 1):
+                cspec = CyclicWalkSpec(n, m, k)
+                curve = _l2_curve(cspec)
+                for l in range(31):
+                    assert next(curve) == zmn_l2_upper_bound(cspec, l), (n, m, k, l)
+    for spec in (WalkSpec(9, 4, Fraction(0)), WalkSpec(30, 7, Fraction(2, 5))):
+        curve = _l2_curve(spec)
+        assert [next(curve) for _ in range(31)] == [l2_upper_bound(spec, l) for l in range(31)]
 
 
 def test_l2_upper_bound_l0_counts_nontrivial_characters():
