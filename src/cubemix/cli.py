@@ -84,6 +84,14 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _float(q: Fraction) -> float:
+    """float(q), or a signed inf beyond float range, as the float backend gives."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
 def _sanitize(obj):
     """Recursively convert to JSON-encodable data with stable key order."""
     if isinstance(obj, Fraction):
@@ -200,7 +208,7 @@ def _cmd_tv(args) -> int:
             return {
                 "tv": float(tv),
                 "separation_tail": float(sep),
-                "l2_sq_bound": float(next(l2s)),
+                "l2_sq_bound": _float(next(l2s)),
                 "tv_exact": tv,
                 "separation_tail_exact": sep,
             }
@@ -216,7 +224,7 @@ def _cmd_tv(args) -> int:
             tv = tv_to_uniform(dist)
             if exact:
                 l2 = next(l2s)
-                return {"tv": float(tv), "l2_sq": float(l2), "tv_exact": tv, "l2_sq_exact": l2}
+                return {"tv": float(tv), "l2_sq": _float(l2), "tv_exact": tv, "l2_sq_exact": l2}
             return {"tv": tv, "l2_sq": l2_to_uniform(dist)}
 
     dist = WeightDistribution.delta(args.n)
@@ -359,7 +367,14 @@ def _need(args, flag: str):
 
 
 def _general_certificate(args):
-    parts = tuple(int(p) for p in args.parts.split(",")) if args.parts else tuple(range(1, 10))
+    if not args.parts:
+        return verify_pick_fraction_bounds(args.n_max)
+    try:
+        parts = tuple(int(p) for p in args.parts.split(","))
+    except ValueError:
+        parts = ()
+    if not parts or any(not 1 <= p <= 9 for p in parts):
+        raise ValueError(f"--parts expects comma-separated integers in 1..9, got {args.parts!r}")
     return verify_pick_fraction_bounds(args.n_max, parts)
 
 

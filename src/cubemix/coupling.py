@@ -35,8 +35,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from .exactdist import WeightDistribution, WeightKernel, evolve
 from .numerics import binom_row, cmp_ratio_with_ln2, hypergeom_numerators
 from .spectrum import WalkSpec
@@ -301,6 +299,8 @@ def expected_coupling_time(spec: WalkSpec, exact: bool | None = None):
     if exact:
         e = _solve_exact([[Fraction(v, kernel.den) for v in row] for row in a], [Fraction(1)] * n)
         return sum(init.prob(y) * e[y - 1] for y in range(1, n + 1))
+    import numpy as np
+
     e = np.linalg.solve(np.array([[v / kernel.den for v in row] for row in a]), np.ones(n))
     return float(init.to_float().vec[1:] @ e)
 

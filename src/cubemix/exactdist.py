@@ -15,10 +15,12 @@ Every kernel is integer numerators over one denominator, and so is
 every exact distance: each reduction sums integers and builds a single
 Fraction at the end.  evolve() steps along a kernel's few nonzero
 diagonals (from w the flip walk reaches only w + k - 2i).  Exact
-evolution keeps integers over (step_denominator)^l,
-avoiding the per-addition gcd work of Fractions; float evolution, for
-walks beyond EXACT_BACKEND_MAX_N, uses the same diagonals divided out
-once into correctly rounded float64, so mass is kept to rounding.
+evolution keeps plain int lists over (step_denominator)^l, avoiding the
+per-addition gcd work of Fractions; float evolution, for walks beyond
+EXACT_BACKEND_MAX_N, uses the same diagonals divided out once into
+correctly rounded float64 arrays, so mass is kept to rounding.  Only the
+float paths (float distributions and evolution, full_transition_matrix)
+import numpy, so exact work never loads it.
 
 brute_force_dist evolves the full 2^n-state distribution without any
 lumping assumption and exists to certify the lumped chain against direct
@@ -33,8 +35,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from operator import add, mul
+from typing import TYPE_CHECKING
 
 from .krawtchouk import kraw_integer_table
 from .numerics import (
@@ -45,6 +47,9 @@ from .numerics import (
     log_binom,
 )
 from .spectrum import CyclicWalkSpec, WalkSpec, cube_eigen_numerators
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class WeightDistribution:
@@ -68,6 +73,8 @@ class WeightDistribution:
             self.den = den
             self.vec = None
         else:
+            import numpy as np
+
             v = np.asarray(vec, dtype=float)
             if v.shape != (n + 1,):
                 raise ValueError(f"expected shape ({n + 1},), got {v.shape}")
@@ -146,11 +153,12 @@ class WeightKernel:
     def row_fractions(self, w: int) -> dict[int, Fraction]:
         return {t: Fraction(c, self.den) for t, c in self.rows[w].items()}
 
-    def diagonals(self, exact: bool) -> list[tuple[int, int, int, np.ndarray]]:
+    def diagonals(self, exact: bool) -> list[tuple[int, int, int, list[int] | np.ndarray]]:
         """[(d, lo, hi, c)] with c[w - lo] = rows[w][w + d], one per offset d.
 
-        exact=True gives integer numerators (object array), exact=False the
-        float64 probabilities c / den.  Cached: curves step one call at a time.
+        exact=True gives the integer numerators as a list of ints,
+        exact=False the float64 probabilities c / den as a numpy array.
+        Cached: curves step one call at a time.
         """
         if exact not in self._diagonals:
             by_offset: dict[int, dict[int, int]] = {}
@@ -161,8 +169,11 @@ class WeightKernel:
             for d, col in sorted(by_offset.items()):
                 lo, hi = min(col), max(col) + 1
                 cs = [col.get(w, 0) for w in range(lo, hi)]
-                c = np.array(cs, dtype=object) if exact else np.array([v / self.den for v in cs])
-                diags.append((d, lo, hi, c))
+                if not exact:
+                    import numpy as np
+
+                    cs = np.array([v / self.den for v in cs])
+                diags.append((d, lo, hi, cs))
             self._diagonals[exact] = diags
         return self._diagonals[exact]
 
@@ -198,14 +209,22 @@ def evolve(dist: WeightDistribution, kernel: WeightKernel, steps: int) -> Weight
     if dist.n != kernel.n:
         raise ValueError(f"size mismatch: distribution n={dist.n}, kernel n={kernel.n}")
     diags = kernel.diagonals(dist.exact)
-    vec = np.array(dist.nums, dtype=object) if dist.exact else dist.vec
+    if dist.exact:
+        vec = dist.nums
+        for _ in range(steps):
+            new = [0] * (dist.n + 1)
+            for d, lo, hi, c in diags:
+                new[lo + d : hi + d] = map(add, new[lo + d : hi + d], map(mul, vec[lo:hi], c))
+            vec = new
+        return WeightDistribution(dist.n, nums=vec, den=dist.den * kernel.den**steps)
+    import numpy as np
+
+    vec = dist.vec
     for _ in range(steps):
         new = np.zeros_like(vec)
         for d, lo, hi, c in diags:
             new[lo + d : hi + d] += vec[lo:hi] * c
         vec = new
-    if dist.exact:
-        return WeightDistribution(dist.n, nums=vec.tolist(), den=dist.den * kernel.den**steps)
     return WeightDistribution(dist.n, vec=vec)
 
 
@@ -353,6 +372,8 @@ FULL_MATRIX_MAX_N = 12
 
 def full_transition_matrix(spec: WalkSpec) -> np.ndarray:
     """Dense 2^n x 2^n one-step matrix (floats), for direct diagonalization."""
+    import numpy as np
+
     n, k = spec.n, spec.k
     if n > FULL_MATRIX_MAX_N:
         raise ValueError(f"full_transition_matrix is limited to n <= {FULL_MATRIX_MAX_N}")

@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,7 @@ from cubemix import (
     WalkSpec,
     WeightDistribution,
 )
+import cubemix
 from cubemix import cli, exactdist, spectrum
 from cubemix.cli import main
 
@@ -74,6 +78,29 @@ def test_tv_exact_rationals_beyond_int_str_limit(tmp_path):
         assert len(last[4]) > 4300
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def test_tv_cube_float_column_is_inf_beyond_float_range(tmp_path):
+    # l2 at l = 0 is 2^1100 - 1: the float column is inf, as the float
+    # backend gives, and the exact column keeps the Fraction
+    out = tmp_path / "tv.csv"
+    argv = ["tv", "--n", "1100", "--k", "3", "--steps", "1"]
+    assert main(argv + ["--backend", "exact", "--output", str(out)]) == 0
+    row = _lines(out)[1].split(",")
+    assert row[2] == "inf"
+    assert Fraction(row[4]) == 2**1100 - 1
+    assert main(argv + ["--backend", "float", "--output", str(out)]) == 0
+    assert _lines(out)[1].split(",")[2] == "inf"
+
+
+def test_tv_cyclic_float_column_is_inf_beyond_float_range(tmp_path):
+    # the cyclic l2 bound at l = 0 is 3^700 - 1
+    out = tmp_path / "tvc.json"
+    argv = ["tv", "--n", "700", "--m", "3", "--k", "3", "--steps", "2", "--format", "json"]
+    assert main(argv + ["--output", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["l2_sq_bound"] for r in rows] == ["inf"] * 3
+    assert Fraction(rows[0]["tv_exact"]) == 1 - Fraction(1, 3**700)
 
 
 def test_tv_cyclic_curve(tmp_path):
@@ -309,6 +336,54 @@ def test_rejected_inputs_exit_one_without_output(argv, tmp_path, capsys):
     assert main(argv + ["--output", str(out)]) == 1
     assert not out.exists()
     assert "error:" in capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("parts", ["a", "1,,2", "0,3", "10"])
+def test_verify_parts_errors_name_the_flag(parts, tmp_path, capsys):
+    out = tmp_path / "g.json"
+    argv = ["verify", "--lemma", "general", "--n-max", "5", "--parts", parts, "--output", str(out)]
+    assert main(argv) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        f"cubemix: error: --parts expects comma-separated integers in 1..9, got {parts!r}"
+    ]
+
+
+# exact and Monte Carlo work runs on ints and Fractions; only float-backend
+# work may pay numpy's import
+_NUMPY_FREE = {
+    "tv-cube": ["tv", "--n", "12", "--k", "3", "--steps", "5"],
+    "tv-cyclic": ["tv", "--n", "8", "--m", "3", "--k", "2", "--steps", "5"],
+    "spectrum": ["spectrum", "--n", "8", "--k", "3"],
+    "bounds": ["bounds", "--n", "54", "--k", "27", "--eps", "0.01"],
+    "verify-general": ["verify", "--lemma", "general", "--n-max", "12"],
+    "couple": ["couple", "--n", "8", "--k", "3", "--trials", "50", "--steps", "10"],
+}
+
+
+def _loads_numpy(argv, output):
+    script = (
+        "import sys\n"
+        "from cubemix.cli import main\n"
+        f"code = main({argv + ['--output', str(output)]!r})\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    src = str(Path(cubemix.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    code, loaded = proc.stdout.splitlines()[-1].split()
+    assert code in ("0", "2"), proc.stdout
+    return loaded == "True"
+
+
+@pytest.mark.parametrize("argv", _NUMPY_FREE.values(), ids=_NUMPY_FREE)
+def test_exact_and_monte_carlo_commands_do_not_load_numpy(argv, tmp_path):
+    assert not _loads_numpy(argv, tmp_path / "out")
+
+
+def test_float_backend_loads_numpy(tmp_path):
+    # the check above is not vacuous: the same probe sees a float run load it
+    assert _loads_numpy(["tv", "--n", "12", "--k", "3", "--steps", "5", "--backend", "float"], tmp_path / "out")
 
 
 def test_output_dir_environment_variable(tmp_path, monkeypatch):
