@@ -149,19 +149,31 @@ def weight_statistic_moments(n: int, k: int, l: int) -> MomentPair:
     eigenvalue because the squared statistic decomposes over levels 0 and 2.
     Under the uniform distribution the mean is 0 and the variance 1.
     """
-    ms, var = exact_weight_statistic_moments(n, k, l)
-    return MomentPair(mean=math.sqrt(float(ms)), variance=float(var))
+    mean_sq, var, den = _moment_numerators(n, k, l)
+    return MomentPair(mean=math.sqrt(mean_sq / den), variance=var / den)
 
 
 def exact_weight_statistic_moments(n: int, k: int, l: int) -> tuple[Fraction, Fraction]:
     """(mean^2, variance) as exact rationals; the mean itself is sqrt of one."""
+    mean_sq, var, den = _moment_numerators(n, k, l)
+    return Fraction(mean_sq, den), Fraction(var, den)
+
+
+def _moment_numerators(n: int, k: int, l: int) -> tuple[int, int, int]:
+    """(mean^2, variance) as integer numerators over one denominator D: (a, b, D).
+
+    The float callers divide a / D and b / D directly: int / int is
+    correctly rounded, so they get float() of the exact moments without the
+    gcd that reducing two huge Fractions costs at large l.
+    """
     if n < 2 or not (1 <= k <= n) or l < 0:
         raise ValueError(f"moment domain error: n={n}, k={k}, l={l}")
     # levels 1 and 2 of the half-lazy walk: eigenvalues 1 - k/n and 1 - 2k(n-k)/(n(n-1))
     nums, den = cube_eigen_numerators(WalkSpec(n, k))
-    mean_sq = Fraction(n * nums[1] ** (2 * l), den ** (2 * l))
-    variance = 1 + Fraction((n - 1) * nums[2] ** l, den**l) - mean_sq
-    return mean_sq, variance
+    den_l = den**l
+    den_2l = den_l * den_l
+    mean_sq = n * nums[1] ** (2 * l)
+    return mean_sq, den_2l + (n - 1) * nums[2] ** l * den_l - mean_sq, den_2l
 
 
 def weight_eigenfunction(n: int, j: int, x: int) -> Fraction:
@@ -187,13 +199,13 @@ def chebyshev_lower_bound(n: int, k: int, l: int, alpha: float | None = None) ->
     puts mass < var/(mean - a)^2 there, so the gap lower-bounds TV.  Returns
     0.0 (vacuous) when a >= mean or a <= 0.
     """
-    mean_sq, var = exact_weight_statistic_moments(n, k, l)
-    mean = math.sqrt(float(mean_sq))
+    moments = weight_statistic_moments(n, k, l)
+    mean = moments.mean
     if alpha is None:
         alpha = mean / 2
     if alpha <= 0 or alpha >= mean:
         return 0.0
-    val = 1.0 - 1.0 / (alpha * alpha) - float(var) / ((mean - alpha) ** 2)
+    val = 1.0 - 1.0 / (alpha * alpha) - moments.variance / ((mean - alpha) ** 2)
     return max(0.0, val)
 
 

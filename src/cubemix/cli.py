@@ -44,7 +44,6 @@ from .exactdist import (
     WeightDistribution,
     evolve,
     flip_weight_kernel,
-    l2_to_uniform,
     separation_tail,
     touched_weight_kernel,
     tv_to_uniform,
@@ -191,8 +190,8 @@ def _cmd_tv(args) -> int:
     if args.steps < 0:
         raise ValueError(f"tv requires --steps >= 0, got --steps={args.steps}")
     # each walk supplies its kernel, walk header and row columns; the
-    # curve itself is one point start stepped once per l, and an exact
-    # curve reads its l2 column from the eigenvalue powers, one value per l
+    # curve itself is one point start stepped once per l, and its l2
+    # column is read from the eigenvalue powers, one value per l
     if args.m is not None:
         if args.backend == "float":
             raise ValueError("the cyclic TV curve is exact-only; use --backend exact or auto")
@@ -217,15 +216,15 @@ def _cmd_tv(args) -> int:
         exact = _use_exact(args.backend, args.n)
         spec = WalkSpec(args.n, args.k, args.p)
         kernel = flip_weight_kernel(spec)
-        l2s = _l2_curve(spec)
+        l2s = _l2_curve(spec, exact)
         walk = {"kind": "cube", "n": args.n, "k": args.k, "p": _fmt(args.p)}
 
         def columns(dist):
             tv = tv_to_uniform(dist)
+            l2 = next(l2s)
             if exact:
-                l2 = next(l2s)
                 return {"tv": float(tv), "l2_sq": _float(l2), "tv_exact": tv, "l2_sq_exact": l2}
-            return {"tv": tv, "l2_sq": l2_to_uniform(dist)}
+            return {"tv": tv, "l2_sq": l2}
 
     dist = WeightDistribution.delta(args.n)
     if not exact:

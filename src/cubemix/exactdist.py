@@ -18,9 +18,12 @@ diagonals (from w the flip walk reaches only w + k - 2i).  Exact
 evolution keeps plain int lists over (step_denominator)^l, avoiding the
 per-addition gcd work of Fractions; float evolution, for walks beyond
 EXACT_BACKEND_MAX_N, uses the same diagonals divided out once into
-correctly rounded float64 arrays, so mass is kept to rounding.  Only the
-float paths (float distributions and evolution, full_transition_matrix)
-import numpy, so exact work never loads it.
+correctly rounded float64 arrays, so mass is kept to rounding.  The float
+reductions are numpy array expressions against per-n cached float64
+tables (the uniform weight profile, ln C(n, w)), with no per-weight
+Python loop.  Only the float paths (float distributions, evolution and
+reductions, full_transition_matrix) import numpy, so exact work never
+loads it.
 
 brute_force_dist evolves the full 2^n-state distribution without any
 lumping assumption and exists to certify the lumped chain against direct
@@ -42,9 +45,9 @@ from .krawtchouk import kraw_integer_table
 from .numerics import (
     EXACT_BACKEND_MAX_N,
     binom_row,
-    fsum_exp,
     hypergeom_numerators,
     log_binom,
+    sum_exp,
 )
 from .spectrum import CyclicWalkSpec, WalkSpec, cube_eigen_numerators
 
@@ -229,8 +232,13 @@ def evolve(dist: WeightDistribution, kernel: WeightKernel, steps: int) -> Weight
 
 
 @functools.lru_cache(maxsize=8)
-def _log_binoms(n: int) -> tuple[float, ...]:
-    return tuple(log_binom(n, w) for w in range(n + 1))
+def _log_binoms(n: int) -> np.ndarray:
+    """ln C(n, w) for w = 0..n as a read-only float64 array."""
+    import numpy as np
+
+    out = np.array([log_binom(n, w) for w in range(n + 1)])
+    out.flags.writeable = False
+    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -242,12 +250,19 @@ def _binom_cofactors(n: int) -> tuple[int, tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=8)
-def _uniform_weight_float(n: int) -> tuple[float, ...]:
-    """C(n, w) / 2^n for w = 0..n, rescaled so the lgamma errors cancel in the mass."""
+def _uniform_weight_float(n: int) -> np.ndarray:
+    """C(n, w) / 2^n for w = 0..n, rescaled so the lgamma errors cancel in the mass.
+
+    A read-only float64 array, since every float TV of the curve reads it.
+    """
+    import numpy as np
+
     ln2n = n * math.log(2.0)
-    prof = [math.exp(lb - ln2n) for lb in _log_binoms(n)]
+    prof = [math.exp(lb - ln2n) for lb in _log_binoms(n).tolist()]
     mass = math.fsum(prof)
-    return tuple(v / mass for v in prof)
+    out = np.array([v / mass for v in prof])
+    out.flags.writeable = False
+    return out
 
 
 def tv_to_uniform(dist: WeightDistribution):
@@ -263,8 +278,7 @@ def tv_to_uniform(dist: WeightDistribution):
         mult = binom_row(n)
         s = sum(abs(v * scale - mult[w] * dist.den) for w, v in enumerate(dist.nums))
         return Fraction(s, 2 * dist.den * scale)
-    ref = _uniform_weight_float(n)
-    return 0.5 * math.fsum(abs(v - r) for v, r in zip(dist.vec.tolist(), ref))
+    return 0.5 * float(abs(dist.vec - _uniform_weight_float(n)).sum())
 
 
 def l2_to_uniform(dist: WeightDistribution):
@@ -278,10 +292,12 @@ def l2_to_uniform(dist: WeightDistribution):
         d2 = dist.den * dist.den
         s = sum(v * v * c for v, c in zip(dist.nums, cof))
         return Fraction((s << n) - L * d2, L * d2)
-    ln2n = n * math.log(2.0)
-    lb = _log_binoms(n)
-    logs = (2 * math.log(abs(v)) + ln2n - lb[w] for w, v in enumerate(dist.vec.tolist()) if v)
-    return fsum_exp(logs) - 1.0
+    import numpy as np
+
+    # ln (P(w)^2 2^n / C(n, w)) over the weights carrying mass
+    live = dist.vec != 0
+    logs = 2 * np.log(np.abs(dist.vec[live])) + n * math.log(2.0) - _log_binoms(n)[live]
+    return sum_exp(logs) - 1.0
 
 
 BRUTE_FORCE_MAX_N = 14

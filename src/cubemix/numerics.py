@@ -6,8 +6,10 @@ Two numeric regimes are used throughout the package:
     Python integers.  Every probability identity checked in this regime is
     checked without rounding.
   * log-space floats: for walks too large for rational arithmetic, positive
-    magnitudes are carried as natural logarithms (plain floats) and sums are
-    accumulated with math.fsum, which is exactly rounded.
+    magnitudes are carried as natural logarithms and summed either with
+    math.fsum, which is exactly rounded (fsum_exp), or, for whole float64
+    arrays of logs, by numpy's pairwise sum after shifting by the largest
+    log (sum_exp).
 
 All logarithms are natural logs.  The crossover between the two regimes is
 EXACT_BACKEND_MAX_N, fixed: the automatic backend choices (the CLI's and
@@ -101,6 +103,25 @@ def fsum_exp(logs) -> float:
     """
     try:
         return math.fsum(math.exp(x) for x in logs)
+    except OverflowError:
+        return math.inf
+
+
+def sum_exp(logs) -> float:
+    """Sum of exp(x) over a float64 array of logs, as exp(max) * sum exp(x - max).
+
+    The shifted terms lie in (0, 1] and numpy sums them pairwise, so the
+    answer is inf only when the sum itself is beyond float range.  Entries
+    of -inf are zero terms; an array of them alone sums to 0.0.
+    """
+    top = float(logs.max())
+    if top == -math.inf:
+        return 0.0
+    import numpy as np
+
+    scaled = float(np.exp(logs - top).sum())
+    try:
+        return math.exp(top) * scaled
     except OverflowError:
         return math.inf
 

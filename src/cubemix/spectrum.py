@@ -11,25 +11,28 @@ its eigenvalue on a character of support size w is C(n-w,k)/C(n,k)
 Every eigenvalue comes from a table of integer numerators over one
 denominator (cube_eigen_numerators, _zmn_eigen_numerators), and both
 walks' l2 bounds are one sum over such a table (_l2_sum).  _l2_curve
-yields the same exact sum for l = 0, 1, 2, ... by carrying each term's
-power forward, one multiplication by a small squared numerator per term
-and step; from a point start it is the chi-square curve, so the CLI's
-exact tv curves read their l2 column from it.  Exact rational
-spectra are the default up to EXACT_BACKEND_MAX_N coordinates; beyond
-that, bound evaluation switches to log-space floats with exactly rounded
-accumulation (math.fsum).
+yields the same sum for l = 0, 1, 2, ...: exactly, by carrying each
+term's power forward, one multiplication by a small squared numerator per
+term and step; or in floats, as one numpy log-space sum per l over the
+per-level log table (_log_levels) that _l2_sum's float branch also reads.
+From a point start it is the chi-square curve, so the CLI's tv curves of
+both backends read their l2 column from it.  Exact rational spectra are
+the default up to EXACT_BACKEND_MAX_N coordinates; beyond that, per-l
+bound evaluation switches to log-space floats with exactly rounded
+accumulation (math.fsum).  numpy is imported only by the float curve.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .krawtchouk import kraw_half
-from .numerics import EXACT_BACKEND_MAX_N, binom_row, fsum_exp
+from .numerics import EXACT_BACKEND_MAX_N, binom_row, fsum_exp, sum_exp
 
 
 @dataclass(frozen=True)
@@ -148,33 +151,49 @@ def _l2_sum(mults, nums, den, l: int, exact: bool | None):
 
     The exact branch is one integer sum over den^{2l}; 0**0 == 1 counts the
     zero eigenvalues at l = 0.  The float branch takes each term's log from
-    the same integers and sums in log space, so it reaches inf only when the
-    sum itself leaves float range.
+    _log_levels and sums in log space, so it reaches inf only when the sum
+    itself leaves float range.
     """
     if exact is None:
         exact = len(nums) - 1 <= EXACT_BACKEND_MAX_N
     if exact:
         return Fraction(sum(c * v ** (2 * l) for c, v in zip(mults[1:], nums[1:])), den ** (2 * l))
-    logs = []
+    log_mults, log_eig_sq = _log_levels(mults, nums, den)
+    if l == 0:
+        return fsum_exp(log_mults)
+    return fsum_exp(m + l * e for m, e in zip(log_mults, log_eig_sq))
+
+
+def _log_levels(mults, nums, den) -> tuple[list[float], list[float]]:
+    """(ln mults_j, ln (nums_j / den)^2) for the levels j >= 1 of one spectrum.
+
+    abs(v) / den is correctly rounded; below float range the logs of the two
+    integers are subtracted instead.  A zero eigenvalue's log is -inf, so its
+    term vanishes for l >= 1; callers count it at l = 0 from ln mults alone,
+    as 0**0 == 1 does in the exact sum.
+    """
+    log_mults, log_eig_sq = [], []
     for c, v in zip(mults[1:], nums[1:]):
-        if l == 0:
-            logs.append(math.log(c))
-        elif v:
-            # abs(v) / den is correctly rounded; below float range, subtract logs
+        log_mults.append(math.log(c))
+        if v:
             r = abs(v) / den
             log_eig = math.log(r) if r >= sys.float_info.min else math.log(abs(v)) - math.log(den)
-            logs.append(math.log(c) + 2 * l * log_eig)
-    return fsum_exp(logs)
+            log_eig_sq.append(2 * log_eig)
+        else:
+            log_eig_sq.append(-math.inf)
+    return log_mults, log_eig_sq
 
 
-def _l2_curve(spec):
-    """Yield the exact l2 sum of a cube or cyclic walk for l = 0, 1, 2, ...
+def _l2_curve(spec, exact: bool = True):
+    """Yield the l2 sum of a cube or cyclic walk for l = 0, 1, 2, ...
 
-    The l-th value equals l2_upper_bound(spec, l, exact=True), or
-    zmn_l2_upper_bound(spec, l, exact=True) for a CyclicWalkSpec: one
-    _l2_sum over the same table.  Each term mults_j nums_j^{2l} is kept
-    and multiplied by the small nums_j^2 per step, a big-by-small product
-    instead of a fresh power.  The l = 0 terms are the multiplicities
+    The l-th value equals l2_upper_bound(spec, l, exact), or
+    zmn_l2_upper_bound(spec, l, exact) for a CyclicWalkSpec: one _l2_sum
+    over the same table.  Exact: each term mults_j nums_j^{2l} is kept and
+    multiplied by the small nums_j^2 per step, a big-by-small product
+    instead of a fresh power.  Float: the terms' logs ln mults_j +
+    l ln eigenvalue_j^2 are summed by numerics.sum_exp, one array
+    expression per l.  Either way the l = 0 terms are the multiplicities
     themselves, so the zero eigenvalues count there as 0**0 == 1 does.
     """
     if isinstance(spec, CyclicWalkSpec):
@@ -183,6 +202,13 @@ def _l2_curve(spec):
     else:
         nums, den = cube_eigen_numerators(spec)
         mults = binom_row(spec.n)
+    if not exact:
+        import numpy as np
+
+        log_mults, log_eig_sq = (np.array(t) for t in _log_levels(mults, nums, den))
+        yield sum_exp(log_mults)
+        for l in itertools.count(1):
+            yield sum_exp(log_mults + l * log_eig_sq)
     terms = list(mults[1:])
     squares = [v * v for v in nums[1:]]
     den_sq, den_pow = den * den, 1

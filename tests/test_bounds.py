@@ -165,6 +165,30 @@ def test_weight_statistic_moments_domain():
         exact_weight_statistic_moments(4, 1, -1)
 
 
+def _chebyshev_from_moments(mean_sq, var, alpha=None):
+    # chebyshev_lower_bound's formula, fed float() of the exact moments
+    mean = math.sqrt(float(mean_sq))
+    if alpha is None:
+        alpha = mean / 2
+    if alpha <= 0 or alpha >= mean:
+        return 0.0
+    return max(0.0, 1.0 - 1.0 / (alpha * alpha) - float(var) / ((mean - alpha) ** 2))
+
+
+def test_float_moments_are_floats_of_the_exact_moments():
+    # the float callers divide the moment numerators directly; int / int is
+    # correctly rounded, so every float equals float() of the Fraction
+    for n in range(2, 61):
+        for k in range(1, n + 1):
+            for l in (0, 1, 2, 3, 5, 10, 20, 40):
+                mean_sq, var = exact_weight_statistic_moments(n, k, l)
+                want = MomentPair(mean=math.sqrt(float(mean_sq)), variance=float(var))
+                assert weight_statistic_moments(n, k, l) == want, (n, k, l)
+                assert chebyshev_lower_bound(n, k, l) == _chebyshev_from_moments(mean_sq, var), (n, k, l)
+    mean_sq, var = exact_weight_statistic_moments(60, 7, 9)
+    assert chebyshev_lower_bound(60, 7, 9, 1.5) == _chebyshev_from_moments(mean_sq, var, 1.5)
+
+
 def test_weight_eigenfunctions_and_identity():
     for n in range(2, 13):
         for x in range(n + 1):

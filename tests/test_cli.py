@@ -139,8 +139,8 @@ def test_tv_cyclic_curve_steps_once_per_l(tmp_path, monkeypatch):
 
 
 def test_exact_tv_curves_read_l2_from_eigenvalue_powers(tmp_path, monkeypatch):
-    # an exact curve takes its l2 column from the eigenvalue-power curve, so
-    # neither per-l reduction runs; the float curve still reduces every l
+    # every curve, exact or float, takes its l2 column from the
+    # eigenvalue-power curve, so no curve runs a per-l l2 reduction
     calls = {"l2_to_uniform": 0, "zmn_l2_upper_bound": 0}
     for module in (cli, exactdist, spectrum):
         for name in calls:
@@ -157,7 +157,72 @@ def test_exact_tv_curves_read_l2_from_eigenvalue_powers(tmp_path, monkeypatch):
         assert main(["tv", *argv, "--steps", "20", "--output", out]) == 0
     assert calls == {"l2_to_uniform": 0, "zmn_l2_upper_bound": 0}
     assert main(["tv", "--n", "10", "--k", "3", "--steps", "20", "--backend", "float", "--output", out]) == 0
-    assert calls == {"l2_to_uniform": 21, "zmn_l2_upper_bound": 0}
+    assert calls == {"l2_to_uniform": 0, "zmn_l2_upper_bound": 0}
+
+
+@pytest.fixture
+def no_int_str_limit():
+    # the exact columns outgrow the default 4300-digit int-to-str limit
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def _csv_rows(path):
+    header, *rows = _lines(path)
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "n,k,p,steps",
+    [(40, 3, "0", 300), (150, 5, "1/3", 300), (400, 7, "1/2", 200), (6, 3, "1/2", 3), (4, 2, "0", 3)],
+)
+def test_float_tv_curve_matches_exact(n, k, p, steps, tmp_path, no_int_str_limit):
+    # float TV within 1e-12, float l2 within 1e-12 of 1 + l2; (6, 3) and
+    # (4, 2) at p = 0 have zero eigenvalues, which count at l = 0 only
+    argv = ["tv", "--n", str(n), "--k", str(k), "--p", p, "--steps", str(steps)]
+    exact_out, float_out = tmp_path / "exact.csv", tmp_path / "float.csv"
+    assert main(argv + ["--backend", "exact", "--output", str(exact_out)]) == 0
+    assert main(argv + ["--backend", "float", "--output", str(float_out)]) == 0
+    exact_rows, float_rows = _csv_rows(exact_out), _csv_rows(float_out)
+    assert len(float_rows) == len(exact_rows) == steps + 1
+    assert Fraction(exact_rows[0]["l2_sq_exact"]) == 2**n - 1
+    for want, got in zip(exact_rows, float_rows):
+        tv, l2 = Fraction(want["tv_exact"]), Fraction(want["l2_sq_exact"])
+        assert abs(float(got["tv"]) - float(tv)) <= 1e-12, want["l"]
+        assert abs(float(got["l2_sq"]) - float(l2)) <= 1e-12 * (1 + float(l2)), want["l"]
+
+
+@pytest.mark.parametrize(
+    "k,p,steps,sampled,finite",
+    [
+        (3, "1/2", 200, range(0, 201, 20), 0),
+        (3, "1/2", 2000, (0, 1000, 1820, 1821, 1988, 1989, 2000), 2),
+        (61, "0", 200, range(0, 201, 20), 9),
+    ],
+)
+def test_float_tv_curve_l2_is_float_eigenvalue_sum_at_5000(k, p, steps, sampled, finite, tmp_path):
+    # (3, 1/2) is beyond float range up to l = 1988.  From l = 1821 the
+    # evolved float profile read finite l2 values there (9e229 at l = 1989
+    # against the true 4.5e307): its point-start mass at weight 0, about
+    # 2^-l, underflows.  (61, 0) starts beyond float range and falls to about
+    # 1, the weight of level n's eigenvalue -1; the evolved profile's l2 was
+    # off there by up to 3e-12 relative, rounding gathered over the steps.
+    out = tmp_path / "tv.csv"
+    argv = ["tv", "--n", "5000", "--k", str(k), "--p", p, "--steps", str(steps), "--backend", "float"]
+    assert main(argv + ["--output", str(out)]) == 0
+    rows = _csv_rows(out)
+    spec = WalkSpec(5000, k, Fraction(p))
+    seen = 0
+    for l in sampled:
+        got, want = float(rows[l]["l2_sq"]), spectrum.l2_upper_bound(spec, l, exact=False)
+        if math.isinf(want):
+            assert math.isinf(got), l
+        else:
+            seen += 1
+            assert abs(got - want) <= 1e-12 * want, l
+    assert seen == finite
 
 
 def test_spectrum_csv_exact(tmp_path):

@@ -164,6 +164,30 @@ def test_l2_curve_matches_per_l_bounds():
         assert [next(curve) for _ in range(31)] == [l2_upper_bound(spec, l) for l in range(31)]
 
 
+def test_float_l2_curve_matches_float_per_l_bounds():
+    # the float curve sums the same log terms as the per-l float branch, in
+    # numpy instead of math.fsum; CyclicWalkSpec(4, 3, 4) has only zero
+    # nontrivial eigenvalues, so its curve is 80 at l = 0 and 0.0 after
+    cases = [
+        (WalkSpec(6, 3), l2_upper_bound),
+        (WalkSpec(4, 2, Fraction(0)), l2_upper_bound),
+        (WalkSpec(30, 7, Fraction(2, 5)), l2_upper_bound),
+        (WalkSpec(1100, 3), l2_upper_bound),
+        (CyclicWalkSpec(12, 3, 5), zmn_l2_upper_bound),
+        (CyclicWalkSpec(4, 3, 4), zmn_l2_upper_bound),
+    ]
+    for spec, bound in cases:
+        curve = _l2_curve(spec, exact=False)
+        for l in range(41):
+            got, want = next(curve), bound(spec, l, exact=False)
+            if math.isinf(want):
+                assert math.isinf(got), (spec, l)
+            else:
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0), (spec, l)
+    curve = _l2_curve(CyclicWalkSpec(4, 3, 4), exact=False)
+    assert [next(curve) for _ in range(3)] == [pytest.approx(80.0, rel=1e-15), 0.0, 0.0]
+
+
 def test_l2_upper_bound_l0_counts_nontrivial_characters():
     for n, k in [(3, 1), (6, 3), (9, 4)]:
         assert l2_upper_bound(WalkSpec(n, k), 0) == (1 << n) - 1
