@@ -366,6 +366,8 @@ def _need(args, flag: str):
 
 
 def _general_certificate(args):
+    if args.n_max < 2:
+        raise ValueError(f"--n-max expects an integer >= 2, got {args.n_max}")
     if not args.parts:
         return verify_pick_fraction_bounds(args.n_max)
     try:

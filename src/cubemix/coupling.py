@@ -34,6 +34,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .exactdist import WeightDistribution, WeightKernel, evolve
 from .numerics import binom_row, cmp_ratio_with_ln2, hypergeom_numerators
@@ -425,6 +426,36 @@ class HalfPickCertificate:
         return bool(self.violations)
 
 
+def _overlap_mass(ry: tuple, rny: tuple, k: int, lo: int, hi: int) -> int:
+    """Sum of C(y,i) C(n-y,k-i) over lo <= i <= hi (hi >= -1); ry, rny = binom_row(y), binom_row(n-y).
+
+    Rows are palindromes, so C(n-y,k-i) = rny[n-y-k+i]: one C-level dot
+    product of aligned slices, which run out at the support's tops y and k.
+    """
+    off = len(rny) - 1 - k
+    lo = lo if lo > 0 else 0
+    lo = lo if lo + off > 0 else -off
+    return sum(map(mul, ry[lo : hi + 1], rny[lo + off : hi + off + 1]))
+
+
+def _mode_bad_range(n: int, k: int, y: int, tnum: int, tden: int) -> tuple[int, int]:
+    """[start, stop): the i whose ratio test contradicts threshold t = tnum/tden, tden > 0.
+
+    On the support's steps the pmf rises at i <= r and falls above.  With
+    ceil(t) <= r the bad i are strict rises at i >= t (a tie at i = r is no
+    rise); otherwise they are falls at i + 1 <= t, which need t >= r + 2.
+    """
+    lo, hi = (k - n + y if k - n + y > 0 else 0), (y if y < k else k)
+    a = y * k - n + y + k - 1
+    r = a // (n + 2)
+    start = -(-tnum // tden)
+    if start <= r:
+        stop = r if r * (n + 2) == a else r + 1
+    else:
+        start, stop = r + 1, tnum // tden
+    return (start if start > lo else lo), (stop if stop < hi else hi)
+
+
 def verify_half_flip_pick_bounds(n: int) -> HalfPickCertificate:
     if n % 4 != 2:
         raise ValueError(f"verify_half_flip_pick_bounds requires n = 2 mod 4, got n={n}")
@@ -435,19 +466,9 @@ def verify_half_flip_pick_bounds(n: int) -> HalfPickCertificate:
     viol = []
     min1 = min2 = min2e = None
     for y in range(n + 1):
-        ry = binom_row(y)
-        rny = binom_row(n - y)
-
-        def mass(lo: int, hi: int) -> Fraction:
-            lo = max(lo, 0, h - (n - y))
-            hi = min(hi, y, h)
-            s = 0
-            for i in range(lo, hi + 1):
-                s += ry[i] * rny[h - i]
-            return Fraction(s, 2 * C)
-
+        ry, rny = binom_row(y), binom_row(n - y)
         if y >= h:
-            p1 = mass(y - h, y // 2)
+            p1 = Fraction(_overlap_mass(ry, rny, h, y - h, y // 2), 2 * C)
             row = HalfPickRow(1, y, p1, p1 >= quarter)
             rows.append(row)
             if not row.ok:
@@ -455,7 +476,7 @@ def verify_half_flip_pick_bounds(n: int) -> HalfPickCertificate:
             if min1 is None or p1 < min1[0]:
                 min1 = (p1, y)
         if 1 <= y <= h:
-            p2 = mass(-(-y // 4), y // 2)
+            p2 = Fraction(_overlap_mass(ry, rny, h, -(-y // 4), y // 2), 2 * C)
             row = HalfPickRow(2, y, p2, p2 >= quarter)
             rows.append(row)
             if not row.ok:
@@ -518,9 +539,13 @@ def verify_pick_fraction_bounds(n_max: int, parts=tuple(range(1, 10))) -> PickBo
     (3) P(1 <= a <= min(y/2, k)) >= 1/6 when 1 <= q < 2, (4) the same with
     bound (2 - sqrt 2)/8 when ln2/2 <= q < 1, (5) bound q/8 when
     q < ln2/2; parts 6-9 repeat 2-5 for y < k with upper limit y/2.
-    Part 1 certifies unimodality of the overlap pmf by exact ratio
-    comparisons and checks the nominal mode threshold against the ratio
-    test.  Everything is integer arithmetic; bounds involving sqrt 2 are
+    Part 1 checks the nominal mode threshold (yk - n + y + k)/(n + 1)
+    against the exact ratio test P(a = i + 1) >= P(a = i).  Its up - down =
+    (yk - n + y + k - 1) - i(n + 2) is linear in i, so per (n, k, y) the
+    pmf rises at i <= r = (yk - n + y + k - 1) // (n + 2) and falls above;
+    the contradicted i form an integer range below or above r, counted by
+    its length, and a tie at i(n + 2) = yk - n + y + k - 1 contradicts none.
+    Everything is integer arithmetic; bounds involving sqrt 2 are
     decided by squaring.  q is classified by comparing yk with n and 2n
     and 2yk/n with the ln 2 brackets, each part's running minimum is kept
     as an integer pair (numerator, positive denominator) compared by
@@ -542,65 +567,39 @@ def verify_pick_fraction_bounds(n_max: int, parts=tuple(range(1, 10))) -> PickBo
     want_mode = 1 in parts
 
     for n in range(2, n_max + 1):
-        rown = binom_row(n)
+        rows = [binom_row(m) for m in range(n + 1)]
+        if want_mode:
+            checked[1] += n // 2 * n
         for k in range(1, n // 2 + 1):
-            C = rown[k]
+            C = rows[n][k]
             for y in range(1, n + 1):
-                ry = binom_row(y)
-                rny = binom_row(n - y)
                 yk = y * k
                 if want_mode:
-                    checked[1] += 1
-                    lo = max(0, k - (n - y))
-                    hi = min(y, k)
-                    # nominal threshold (yk - n + y + k)/(n + 1)
-                    tnum, tden = yk - n + y + k, n + 1
-                    base = n - y - k + 1
-                    for i in range(lo, hi):
-                        up = (y - i) * (k - i)
-                        down = (i + 1) * (base + i)
-                        inc = up >= down
-                        bad = ((i + 1) * tden <= tnum and not inc) or (
-                            i * tden >= tnum and inc and up != down
-                        )
-                        if bad:
-                            nviol[1] += 1
-                            if len(samples[1]) < _SAMPLE_CAP:
-                                samples[1].append((n, k, y, i))
+                    start, stop = _mode_bad_range(n, k, y, yk - n + y + k, n + 1)
+                    if start < stop:
+                        bad = range(start, stop)
+                        nviol[1] += len(bad)
+                        samples[1] += [(n, k, y, i) for i in bad[: _SAMPLE_CAP - len(samples[1])]]
                 if not want_sum:
                     continue
-                if yk >= 2 * n:
-                    part = 2
-                elif yk >= n:
-                    part = 3
-                elif cmp_ratio_with_ln2(2 * yk, n) >= 0:
-                    part = 4
-                else:
-                    part = 5
-                if y < k:
-                    part += 4
+                base = 2 if yk >= 2 * n else 3 if yk >= n else 4 if cmp_ratio_with_ln2(2 * yk, n) >= 0 else 5
+                part = base + 4 if y < k else base
                 if part not in checked:
                     continue
                 checked[part] += 1
-                upper = min(y // 2, k)
-                lower = -(-yk // (2 * n)) if part in (2, 6) else 1
-                s = 0
-                for i in range(max(lower, 0, k - (n - y)), min(upper, y, k) + 1):
-                    s += ry[i] * rny[k - i]
-                if part in (2, 6):
+                s = _overlap_mass(rows[y], rows[n - y], k, -(-yk // (2 * n)) if base == 2 else 1, y // 2)
+                # the value as (num, den): P = s/2C, or the slack P - yk/8n
+                num, den = s, 2 * C
+                if base == 2:
                     ok = 4 * s >= C
-                elif part in (3, 7):
+                elif base == 3:
                     ok = 3 * s >= C
-                elif part in (4, 8):
+                elif base == 4:
                     t = 2 * C - 4 * s
                     ok = t <= 0 or 2 * C * C >= t * t
                 else:
-                    ok = 4 * s * n >= C * yk
-                # the value as (num, den): P = s/2C, or the slack P - yk/8n
-                if part in (5, 9):
                     num, den = 4 * n * s - C * yk, 8 * n * C
-                else:
-                    num, den = s, 2 * C
+                    ok = num >= 0
                 best = min_pair[part]
                 if best is None or num * best[1] < best[0] * den:
                     min_pair[part] = (num, den, (n, k, y))

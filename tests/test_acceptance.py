@@ -5,6 +5,7 @@ with the offending instance, so the pytest line for the test doubles as the
 criterion's verdict.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -205,6 +206,9 @@ def test_criterion_09_lemma_certificates(tmp_path):
     general_path = tmp_path / "general.json"
     rc = cli_main(["verify", "--lemma", "general", "--n-max", "150", "--output", str(general_path)])
     assert rc == 2
+    # the whole certificate, violation samples included, byte for byte
+    digest = hashlib.sha256(general_path.read_bytes()).hexdigest()
+    assert digest == "0474a747daf949790482067d836dc4b15c78614b4d653dbbd834f8387486f1e8"
     payload = json.loads(general_path.read_text())
     assert payload["counterexamples_found"] is True
     by_part = {r["part"]: r for r in payload["reports"]}

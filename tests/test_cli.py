@@ -414,6 +414,16 @@ def test_verify_parts_errors_name_the_flag(parts, tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("n_max", ["1", "0", "-3"])
+def test_verify_general_n_max_error_names_the_flag(n_max, tmp_path, capsys):
+    out = tmp_path / "g.json"
+    assert main(["verify", "--lemma", "general", "--n-max", n_max, "--output", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        f"cubemix: error: --n-max expects an integer >= 2, got {n_max}"
+    ]
+
+
 # exact and Monte Carlo work runs on ints and Fractions; only float-backend
 # work may pay numpy's import
 _NUMPY_FREE = {

@@ -23,7 +23,9 @@ from cubemix import (
     verify_half_flip_pick_bounds,
     verify_pick_fraction_bounds,
 )
-from cubemix.coupling import _draw_mask, _even_x2_flipset, _sample_setsize
+from cubemix import coupling
+from cubemix.coupling import _draw_mask, _even_x2_flipset, _mode_bad_range, _overlap_mass, _sample_setsize
+from cubemix.numerics import binom_row
 
 HALF = Fraction(1, 2)
 
@@ -481,6 +483,82 @@ def test_pick_fraction_bounds_match_fraction_oracle():
     for r in cert.reports:
         got = [r.checked, r.violations, list(r.violation_samples), r.min_value, r.min_witness]
         assert got == oracle[r.part], r.part
+
+
+def test_overlap_mass_matches_comb_sums():
+    # every window, including ones that overhang the support on either side
+    for n in range(0, 13):
+        for y in range(n + 1):
+            ry, rny = binom_row(y), binom_row(n - y)
+            for k in range(n + 1):
+                for lo in range(-2, k + 3):
+                    for hi in range(-1, k + 3):
+                        want = sum(
+                            math.comb(y, i) * math.comb(n - y, k - i)
+                            for i in range(max(lo, 0, k - (n - y)), min(hi, y, k) + 1)
+                        )
+                        assert _overlap_mass(ry, rny, k, lo, hi) == want, (n, y, k, lo, hi)
+
+
+def _mode_oracle(n_max, shifts):
+    """Part 1 of the pick-fraction sweep, one exact ratio test per i.
+
+    shift -> every (n, k, y, i), in sweep order, where the test contradicts
+    the nominal mode threshold with its numerator moved by shift.
+    """
+    out = {shift: [] for shift in shifts}
+    for n in range(2, n_max + 1):
+        for k in range(1, n // 2 + 1):
+            for y in range(1, n + 1):
+                lo = max(0, k - (n - y))
+                hi = min(y, k)
+                tnum, tden = y * k - n + y + k, n + 1
+                base = n - y - k + 1
+                for i in range(lo, hi):
+                    up = (y - i) * (k - i)
+                    down = (i + 1) * (base + i)
+                    inc = up >= down
+                    for shift, bad in out.items():
+                        t = tnum + shift
+                        if ((i + 1) * tden <= t and not inc) or (i * tden >= t and inc and up != down):
+                            bad.append((n, k, y, i))
+    return out
+
+
+_SHIFTS = (-40, -7, -3, -2, -1, 0, 1, 2, 3, 7, 40)
+
+
+@pytest.fixture(scope="module")
+def mode_oracle_50():
+    return _mode_oracle(50, _SHIFTS)
+
+
+def test_mode_ranges_match_per_i_oracle(mode_oracle_50):
+    # the one integer range per cell holds exactly the oracle's bad i, in order
+    got = {shift: [] for shift in _SHIFTS}
+    for n in range(2, 51):
+        for k in range(1, n // 2 + 1):
+            for y in range(1, n + 1):
+                for shift, bad in got.items():
+                    start, stop = _mode_bad_range(n, k, y, y * k - n + y + k + shift, n + 1)
+                    bad += [(n, k, y, i) for i in range(start, stop)]
+    assert got == mode_oracle_50
+    counts = {shift: len(bad) for shift, bad in mode_oracle_50.items()}
+    assert counts == {-40: 16214, -7: 1311, -3: 227, -2: 89, -1: 0, 0: 0, 1: 0, 2: 0, 3: 0, 7: 7, 40: 4681}
+
+
+@pytest.mark.parametrize("shift", _SHIFTS)
+def test_mode_report_under_mutated_threshold(shift, mode_oracle_50, monkeypatch):
+    # moving the threshold makes part 1 report violations, so its counting
+    # and sampling run; the shift is applied through the decision helper
+    monkeypatch.setattr(
+        coupling, "_mode_bad_range", lambda n, k, y, tnum, tden: _mode_bad_range(n, k, y, tnum + shift, tden)
+    )
+    (report,) = verify_pick_fraction_bounds(50, parts=(1,)).reports
+    bad = mode_oracle_50[shift]
+    assert report.checked == sum(n // 2 * n for n in range(2, 51))
+    assert report.violations == len(bad)
+    assert list(report.violation_samples) == bad[:40]
 
 
 def test_pick_fraction_bounds_part_filter_and_domain():
