@@ -34,6 +34,7 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from .coupling import (
+    MARGINAL_CHECK_MAX_N,
     coupling_tail_curve,
     marginal_check,
     simulate_coupling,
@@ -45,9 +46,9 @@ from .exactdist import (
     evolve,
     flip_weight_kernel,
     separation_tail,
+    support_weight_kernel,
     touched_weight_kernel,
     tv_to_uniform,
-    zmn_exact_tv,
 )
 from .krawtchouk import verify_symmetry_sweep
 from .numerics import EXACT_BACKEND_MAX_N
@@ -55,9 +56,8 @@ from .spectrum import (
     CyclicWalkSpec,
     WalkSpec,
     _l2_curve,
-    cube_spectrum,
+    _spectrum,
     verify_eigenvalue_three_quarters,
-    zmn_spectrum,
 )
 
 OUTPUT_DIR_ENV = "CUBEMIX_OUTPUT_DIR"
@@ -148,25 +148,28 @@ def _emit(args, default_stem: str, payload: dict, rows: list[dict] | None = None
 
 
 def _use_exact(backend: str, n: int) -> bool:
-    if backend == "exact":
-        return True
-    if backend == "float":
-        return False
-    return n <= EXACT_BACKEND_MAX_N
+    return backend == "exact" or (backend == "auto" and n <= EXACT_BACKEND_MAX_N)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
+def _walk(args):
+    """(spec, header) of the walk the flags name: the cyclic walk with --m, else the cube."""
+    if args.m is None:
+        spec = WalkSpec(args.n, args.k, Fraction(1, 2) if args.p is None else args.p)
+    elif args.p is not None:
+        raise ValueError("--p is the cube walk's hold probability; the cyclic walk has none")
+    else:
+        spec = CyclicWalkSpec(args.n, args.m, args.k)
+    return spec, {"kind": "cube" if args.m is None else "cyclic", **_sanitize(spec)}
+
+
 def _cmd_spectrum(args) -> int:
     exact = _use_exact(args.backend, args.n)
-    if args.m is not None:
-        table = zmn_spectrum(CyclicWalkSpec(args.n, args.m, args.k))
-        walk = {"kind": "cyclic", "n": args.n, "m": args.m, "k": args.k}
-    else:
-        table = cube_spectrum(WalkSpec(args.n, args.k, args.p))
-        walk = {"kind": "cube", "n": args.n, "k": args.k, "p": _fmt(args.p)}
+    spec, walk = _walk(args)
+    table = _spectrum(spec)
     rows = [
         {
             "level": r.level,
@@ -189,51 +192,41 @@ def _cmd_spectrum(args) -> int:
 def _cmd_tv(args) -> int:
     if args.steps < 0:
         raise ValueError(f"tv requires --steps >= 0, got --steps={args.steps}")
-    # each walk supplies its kernel, walk header and row columns; the
-    # curve itself is one point start stepped once per l, and its l2
-    # column is read from the eigenvalue powers, one value per l
+    # each walk supplies its kernels, each stepping one point start once per
+    # l, and its row columns; the l2 column is read from eigenvalue powers
+    spec, walk = _walk(args)
     if args.m is not None:
-        if args.backend == "float":
-            raise ValueError("the cyclic TV curve is exact-only; use --backend exact or auto")
-        exact = True
-        cspec = CyclicWalkSpec(args.n, args.m, args.k)
-        kernel = touched_weight_kernel(cspec)
-        l2s = _l2_curve(cspec)
-        walk = {"kind": "cyclic", "n": args.n, "m": args.m, "k": args.k}
+        # TV reads the support-size chain, separation the touched-count one;
+        # auto stays exact at every n
+        exact = args.backend != "float"
+        kernels = (support_weight_kernel(spec), touched_weight_kernel(spec))
+        exact_columns = ("tv", "separation_tail")
 
-        def columns(touched):
-            tv = zmn_exact_tv(touched, args.m)
-            sep = separation_tail(touched)
-            return {
-                "tv": float(tv),
-                "separation_tail": float(sep),
-                "l2_sq_bound": _float(next(l2s)),
-                "tv_exact": tv,
-                "separation_tail_exact": sep,
-            }
+        def columns(support, touched):
+            tv = tv_to_uniform(support, args.m)
+            return {"tv": tv, "separation_tail": separation_tail(touched), "l2_sq_bound": next(l2s)}
 
     else:
         exact = _use_exact(args.backend, args.n)
-        spec = WalkSpec(args.n, args.k, args.p)
-        kernel = flip_weight_kernel(spec)
-        l2s = _l2_curve(spec, exact)
-        walk = {"kind": "cube", "n": args.n, "k": args.k, "p": _fmt(args.p)}
+        kernels = (flip_weight_kernel(spec),)
+        exact_columns = ("tv", "l2_sq")
 
         def columns(dist):
-            tv = tv_to_uniform(dist)
-            l2 = next(l2s)
-            if exact:
-                return {"tv": float(tv), "l2_sq": _float(l2), "tv_exact": tv, "l2_sq_exact": l2}
-            return {"tv": tv, "l2_sq": l2}
+            return {"tv": tv_to_uniform(dist), "l2_sq": next(l2s)}
 
-    dist = WeightDistribution.delta(args.n)
-    if not exact:
-        dist = dist.to_float()
+    l2s = _l2_curve(spec, exact)
+    start = WeightDistribution.delta(args.n)
+    dists = [start if exact else start.to_float()] * len(kernels)
     rows = []
     for l in range(args.steps + 1):
         if l:
-            dist = evolve(dist, kernel, 1)
-        rows.append({"l": l, **columns(dist)})
+            dists = [evolve(dist, kernel, 1) for dist, kernel in zip(dists, kernels)]
+        row = columns(*dists)
+        if exact:
+            # the float columns first, then the exact values they round
+            exact_row = {f"{c}_exact": row[c] for c in exact_columns}
+            row = {**{c: _float(v) for c, v in row.items()}, **exact_row}
+        rows.append({"l": l, **row})
     payload = {"walk": walk, "backend": "exact" if exact else "float", "rows": rows}
     _emit(args, "tv", payload, rows)
     return 0
@@ -331,6 +324,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_couple(args) -> int:
+    _need(args, "k", lambda k: k % 2 == 1, "an odd integer")
+    _need(args, "trials", lambda t: t >= 1, "an integer >= 1")
+    _need(args, "steps", lambda l: l >= 0, "an integer >= 0")
     spec = WalkSpec(args.n, args.k)
     report = simulate_coupling(spec, trials=args.trials, max_steps=args.steps, seed=args.seed)
     exact = coupling_tail_curve(spec, args.steps)
@@ -358,16 +354,28 @@ def _cmd_couple(args) -> int:
     return 0
 
 
-def _need(args, flag: str):
-    value = getattr(args, flag)
+def _need(args, flag: str, ok=None, expects: str = ""):
+    """The value of --flag, or a domain error worded around the flag, not the library call."""
+    value = getattr(args, flag.replace("-", "_"))
     if value is None:
         raise ValueError(f"verify --lemma {args.lemma} requires --{flag}")
+    if ok is not None and not ok(value):
+        raise ValueError(f"--{flag} expects {expects}, got {value}")
     return value
 
 
+_TWO_MOD_FOUR = (lambda n: n % 4 == 2, "an integer = 2 mod 4")
+_EVEN = (lambda n: n >= 2 and n % 2 == 0, "an even integer >= 2")
+
+
+def _marginal_certificate(args):
+    top = MARGINAL_CHECK_MAX_N
+    n = _need(args, "n", lambda n: 1 <= n <= top, f"an integer in 1..{top}")
+    return marginal_check(n, _need(args, "k", lambda k: 1 <= k <= n, f"an integer in 1..{n}"))
+
+
 def _general_certificate(args):
-    if args.n_max < 2:
-        raise ValueError(f"--n-max expects an integer >= 2, got {args.n_max}")
+    _need(args, "n-max", lambda n: n >= 2, "an integer >= 2")
     if not args.parts:
         return verify_pick_fraction_bounds(args.n_max)
     try:
@@ -382,20 +390,17 @@ def _general_certificate(args):
 # lemma -> (certificate builder, predicate that the certificate holds)
 _LEMMAS = {
     "probineq": (
-        lambda args: verify_half_flip_pick_bounds(_need(args, "n")),
+        lambda args: verify_half_flip_pick_bounds(_need(args, "n", *_TWO_MOD_FOUR)),
         lambda cert: not cert.has_violations,
     ),
     "general": (_general_certificate, lambda cert: not cert.has_violations),
     "eig34": (
-        lambda args: verify_eigenvalue_three_quarters(_need(args, "n")),
+        lambda args: verify_eigenvalue_three_quarters(_need(args, "n", *_TWO_MOD_FOUR)),
         lambda cert: cert.bound_holds and cert.odd_levels_equal_p and cert.closed_form_matches,
     ),
-    "marginal": (
-        lambda args: marginal_check(_need(args, "n"), _need(args, "k")),
-        lambda cert: cert.ok,
-    ),
+    "marginal": (_marginal_certificate, lambda cert: cert.ok),
     "symmetry": (
-        lambda args: verify_symmetry_sweep(_need(args, "n")),
+        lambda args: verify_symmetry_sweep(_need(args, "n", *_EVEN)),
         lambda cert: cert["ok"],
     ),
 }
@@ -437,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="eigenvalue table with multiplicities")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=_fraction, default=Fraction(1, 2))
+    p.add_argument("--p", type=_fraction, help="hold probability of the cube walk (default 1/2)")
     p.add_argument("--m", type=int, help="modulus: report the cyclic walk instead")
     _add_common(p, "csv")
     p.add_argument("--backend", choices=("exact", "float", "auto"), default="auto")
@@ -446,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tv", help="per-step TV and l^2 distance curve")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=_fraction, default=Fraction(1, 2))
+    p.add_argument("--p", type=_fraction, help="hold probability of the cube walk (default 1/2)")
     p.add_argument("--m", type=int, help="modulus: curve for the cyclic walk instead")
     p.add_argument("--steps", type=int, required=True, help="curve covers l = 0..steps")
     _add_common(p, "csv")

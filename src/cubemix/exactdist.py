@@ -4,12 +4,12 @@ Started at the origin, the k-flip walk's distribution is a function of
 Hamming weight only, so the full 2^n-state chain lumps to an (n+1)-state
 birth-death-like chain: from weight w, flipping a k-set that hits the
 current support in i places moves to w + k - 2i with hypergeometric
-probability.  The same lumping carries the coupling analysis and the
-touched-coordinate chain of the (Z/mZ)^n walk.  Both walks share one
-idiom: a kernel, a point start stepped by evolve(), and reductions of the
-resulting profile -- tv_to_uniform and l2_to_uniform of the cube's weight
-profile, zmn_exact_tv and separation_tail of the cyclic walk's
-touched-count profile.
+probability.  The (Z/mZ)^n walk lumps onto its support size the same way
+(support_weight_kernel); the cube is m = 2, where support size is weight.
+Both walks share one idiom: a kernel, a point start stepped by evolve(),
+and one reduction, tv_to_uniform(dist, m), against the uniform profile
+C(n,s)(m-1)^s / m^n.  The same lumping carries the coupling analysis and
+the cyclic walk's touched-coordinate chain, which gives separation_tail.
 
 Every kernel is integer numerators over one denominator, and so is
 every exact distance: each reduction sums integers and builds a single
@@ -49,7 +49,7 @@ from .numerics import (
     log_binom,
     sum_exp,
 )
-from .spectrum import CyclicWalkSpec, WalkSpec, cube_eigen_numerators
+from .spectrum import CyclicWalkSpec, WalkSpec, _zmn_multiplicities, cube_eigen_numerators
 
 if TYPE_CHECKING:
     import numpy as np
@@ -250,35 +250,38 @@ def _binom_cofactors(n: int) -> tuple[int, tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=8)
-def _uniform_weight_float(n: int) -> np.ndarray:
-    """C(n, w) / 2^n for w = 0..n, rescaled so the lgamma errors cancel in the mass.
+def _uniform_weight_float(n: int, m: int = 2) -> np.ndarray:
+    """C(n, s) (m-1)^s / m^n for s = 0..n, rescaled so the lgamma errors cancel in the mass.
 
     A read-only float64 array, since every float TV of the curve reads it.
+    At m = 2 each s ln(m-1) is exactly 0.0, so the cube's profile is
+    ln C(n, s) - n ln 2 exponentiated.
     """
     import numpy as np
 
-    ln2n = n * math.log(2.0)
-    prof = [math.exp(lb - ln2n) for lb in _log_binoms(n).tolist()]
+    lnmn, lnm1 = n * math.log(m), math.log(m - 1)
+    prof = [math.exp(lb + s * lnm1 - lnmn) for s, lb in enumerate(_log_binoms(n).tolist())]
     mass = math.fsum(prof)
     out = np.array([v / mass for v in prof])
     out.flags.writeable = False
     return out
 
 
-def tv_to_uniform(dist: WeightDistribution):
-    """TV distance between the lifted cube distribution and uniform on 2^n.
+def tv_to_uniform(dist: WeightDistribution, m: int = 2):
+    """TV distance between the lifted support-size law and uniform on (Z/mZ)^n.
 
-    The lift places dist(w)/C(n,w) on each configuration of weight w, which
-    is the law of the walk started at the origin; the TV reduces to
-    (1/2) sum_w |dist(w) - C(n,w)/2^n|.
+    The lift spreads dist(s) evenly over the C(n,s)(m-1)^s points with
+    support size s, which is the law of either walk started at the origin
+    (the cube is m = 2, where support size is Hamming weight); the TV
+    reduces to (1/2) sum_s |dist(s) - C(n,s)(m-1)^s / m^n|.
     """
     n = dist.n
     if dist.exact:
-        scale = 1 << n
-        mult = binom_row(n)
+        scale = m**n
+        mult = _zmn_multiplicities(n, m)
         s = sum(abs(v * scale - mult[w] * dist.den) for w, v in enumerate(dist.nums))
         return Fraction(s, 2 * dist.den * scale)
-    return 0.5 * float(abs(dist.vec - _uniform_weight_float(n)).sum())
+    return 0.5 * float(abs(dist.vec - _uniform_weight_float(n, m)).sum())
 
 
 def l2_to_uniform(dist: WeightDistribution):
@@ -448,40 +451,54 @@ def touched_weight_kernel(cspec: CyclicWalkSpec) -> WeightKernel:
     return WeightKernel(n, rows=rows, den=math.comb(n, k))
 
 
-def _require_exact_touched(touched: WeightDistribution, op: str) -> None:
-    if not touched.exact:
-        raise ValueError(f"{op} is exact-only: it needs the exact touched-count profile, got a float one")
+def support_weight_kernel(cspec: CyclicWalkSpec) -> WeightKernel:
+    """Support-size chain of the (Z/mZ)^n walk, the profile its TV reduces.
 
-
-def separation_tail(touched: WeightDistribution) -> Fraction:
-    """P(some coordinate is still untouched), exact, from the touched profile.
-
-    touched is the exact law of the touched count after l steps,
-    evolve(WeightDistribution.delta(n), touched_weight_kernel(cspec), l).
-    The first time every coordinate has been randomized is a strong
-    stationary time for the (Z/mZ)^n walk, so this tail dominates both
-    separation and TV distance.
+    From s, i of the k picks lie in the support (hypergeometric) and b ~
+    Bin(k, (m-1)/m) of the k fresh digits are nonzero, so s moves to
+    s - i + b: C(s,i) C(n-s,k-i) C(k,b) (m-1)^b over C(n,k) m^k.
     """
-    _require_exact_touched(touched, "separation_tail")
-    return 1 - Fraction(touched.nums[touched.n], touched.den)
+    n, m, k = cspec.n, cspec.m, cspec.k
+    fresh = [c * (m - 1) ** b for b, c in enumerate(binom_row(k))]
+    rows = []
+    for s in range(n + 1):
+        row = {}
+        for i, h in hypergeom_numerators(n, s, k).items():
+            # fresh[b] lands on s - i + b
+            for t, f in enumerate(fresh, s - i):
+                row[t] = row.get(t, 0) + h * f
+        rows.append(row)
+    return WeightKernel(n, rows=rows, den=math.comb(n, k) * m**k)
+
+
+def separation_tail(touched: WeightDistribution) -> Fraction | float:
+    """P(some coordinate is still untouched), from the touched profile.
+
+    touched is the law of the touched count after l steps (stepped by
+    touched_weight_kernel), exact or float, and the tail is a Fraction or a
+    float to match.  The first time every coordinate has been randomized is
+    a strong stationary time for the (Z/mZ)^n walk, so this tail dominates
+    both separation and TV distance.
+    """
+    return 1 - touched.prob(touched.n)
 
 
 def zmn_exact_tv(touched: WeightDistribution, m: int) -> Fraction:
-    """Exact TV distance to uniform on m^n, from the touched profile.
+    """Exact TV distance to uniform on m^n, from the exact touched profile.
 
-    touched is as in separation_tail.  Conditioned on the touched set T,
-    the position is uniform on the coordinates of T and zero elsewhere, so
-    the law depends on x only through |support(x)| and the distance
-    reduces to an (n+1)^2 sum.
+    touched is as in separation_tail.  Given w touched coordinates the
+    support size is Bin(w, (m-1)/m), so the profile thins to the
+    support-size law (which support_weight_kernel steps directly), and
+    tv_to_uniform reduces that.
     """
-    _require_exact_touched(touched, "zmn_exact_tv")
+    if not touched.exact:
+        raise ValueError("zmn_exact_tv is exact-only: it needs the exact touched-count profile")
     n = touched.n
-    # For x of support size s, since C(n-s,w-s)/C(n,w) = C(w,s)/C(n,s),
-    # den m^n C(n,s) P(x) = sum_w nums_w C(w,s) m^(n-w).
-    scaled = [(w, v * m ** (n - w)) for w, v in enumerate(touched.nums) if v]
-    mult = binom_row(n)
-    total = 0
-    for s in range(n + 1):
-        ps = sum(t * math.comb(w, s) for w, t in scaled if w >= s)
-        total += (m - 1) ** s * abs(ps - touched.den * mult[s])
-    return Fraction(total, 2 * touched.den * m**n)
+    # over den m^n: P(support = s) = sum_w nums_w m^(n-w) C(w,s) (m-1)^s
+    thinned = [0] * (n + 1)
+    for w, v in enumerate(touched.nums):
+        if v:
+            t = v * m ** (n - w)
+            thinned[: w + 1] = map(add, thinned[: w + 1], (t * c for c in binom_row(w)))
+    support = [c * (m - 1) ** s for s, c in enumerate(thinned)]
+    return tv_to_uniform(WeightDistribution(n, nums=support, den=touched.den * m**n), m)

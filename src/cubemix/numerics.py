@@ -6,10 +6,9 @@ Two numeric regimes are used throughout the package:
     Python integers.  Every probability identity checked in this regime is
     checked without rounding.
   * log-space floats: for walks too large for rational arithmetic, positive
-    magnitudes are carried as natural logarithms and summed either with
-    math.fsum, which is exactly rounded (fsum_exp), or, for whole float64
-    arrays of logs, by numpy's pairwise sum after shifting by the largest
-    log (sum_exp).
+    magnitudes are carried as natural logarithms in float64 arrays and
+    summed by numpy's pairwise sum after shifting by the largest log
+    (sum_exp), so a sum is inf only when it leaves float range itself.
 
 All logarithms are natural logs.  The crossover between the two regimes is
 EXACT_BACKEND_MAX_N, fixed: the automatic backend choices (the CLI's and
@@ -71,11 +70,6 @@ def log_binom(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def hypergeom_support(n: int, y: int, k: int) -> range:
-    """Integer support of |S ∩ Y| for a uniform k-subset S and |Y| = y."""
-    return range(max(0, k - (n - y)), min(y, k) + 1)
-
-
 def hypergeom_numerators(n: int, y: int, k: int) -> dict[int, int]:
     """Integer pmf numerators C(y,i) C(n-y,k-i) over the common denominator C(n, k).
 
@@ -86,25 +80,14 @@ def hypergeom_numerators(n: int, y: int, k: int) -> dict[int, int]:
     """
     if not (0 <= y <= n) or not (1 <= k <= n):
         raise ValueError(f"hypergeom_numerators domain error: n={n}, y={y}, k={k}")
-    support = hypergeom_support(n, y, k)
+    # the support of |S ∩ Y| for a uniform k-subset S and |Y| = y
+    support = range(max(0, k - (n - y)), min(y, k) + 1)
     cur = math.comb(y, support.start) * math.comb(n - y, k - support.start)
     out = {}
     for i in support:
         out[i] = cur
         cur = cur * (y - i) * (k - i) // ((i + 1) * (n - y - k + i + 1))
     return out
-
-
-def fsum_exp(logs) -> float:
-    """fsum of exp(x) over the given logs of positive terms.
-
-    An overflowing exp or fsum means the sum itself is beyond float range,
-    so the answer is inf rather than an error.
-    """
-    try:
-        return math.fsum(math.exp(x) for x in logs)
-    except OverflowError:
-        return math.inf
 
 
 def sum_exp(logs) -> float:

@@ -8,18 +8,19 @@ on (Z/mZ)^n picks a uniform k-subset and adds independent uniform digits;
 its eigenvalue on a character of support size w is C(n-w,k)/C(n,k)
 (independent of m), with multiplicity C(n,w)(m-1)^w.
 
-Every eigenvalue comes from a table of integer numerators over one
-denominator (cube_eigen_numerators, _zmn_eigen_numerators), and both
-walks' l2 bounds are one sum over such a table (_l2_sum).  _l2_curve
-yields the same sum for l = 0, 1, 2, ...: exactly, by carrying each
-term's power forward, one multiplication by a small squared numerator per
-term and step; or in floats, as one numpy log-space sum per l over the
-per-level log table (_log_levels) that _l2_sum's float branch also reads.
-From a point start it is the chi-square curve, so the CLI's tv curves of
-both backends read their l2 column from it.  Exact rational spectra are
-the default up to EXACT_BACKEND_MAX_N coordinates; beyond that, per-l
-bound evaluation switches to log-space floats with exactly rounded
-accumulation (math.fsum).  numpy is imported only by the float curve.
+Every level of either walk is a table of integer numerators over one
+denominator with integer multiplicities, and _levels is the one function
+that tells the walks apart: the spectra, the l2 bounds and the l2 curve
+all read their levels from it.  _l2_curve yields the l2 sum for
+l = start, start + 1, ...: exactly, by carrying each term's power forward,
+one multiplication by a small squared numerator per term and step; or in
+floats, as one numpy log-space sum per l over the per-level log arrays
+(_log_levels).  A per-l bound is the first value of the curve started at
+l, so bound and curve share one body per backend.  From a point start it
+is the chi-square curve, so the CLI's tv curves of both walks and both
+backends read their l2 column from it.  Exact rational spectra are the
+default up to EXACT_BACKEND_MAX_N coordinates; beyond that, per-l bounds
+switch to the float sum.  numpy is imported only by the float sums.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .krawtchouk import kraw_half
-from .numerics import EXACT_BACKEND_MAX_N, binom_row, fsum_exp, sum_exp
+from .numerics import EXACT_BACKEND_MAX_N, binom_row, sum_exp
 
 
 @dataclass(frozen=True)
@@ -111,12 +112,47 @@ def cube_eigen_numerators(spec: WalkSpec) -> tuple[list[int], int]:
     return [a * C + (q - a) * v for v in kap], q * C
 
 
+@functools.lru_cache(maxsize=8)
+def _zmn_multiplicities(n: int, m: int) -> tuple[int, ...]:
+    """C(n,w) (m-1)^w for w = 0..n; cached, since the products are big at large n."""
+    return tuple(c * (m - 1) ** w for w, c in enumerate(binom_row(n)))
+
+
+def _levels(spec) -> tuple[tuple[int, ...], list[int], int]:
+    """(mults, nums, den): level j has eigenvalue nums[j] / den, multiplicity mults[j].
+
+    The one place that tells the two walks apart; every spectrum, l2 bound
+    and l2 curve below reads its levels from here.
+    """
+    if isinstance(spec, CyclicWalkSpec):
+        nums = [math.comb(spec.n - w, spec.k) for w in range(spec.n + 1)]
+        return _zmn_multiplicities(spec.n, spec.m), nums, nums[0]
+    nums, den = cube_eigen_numerators(spec)
+    return binom_row(spec.n), nums, den
+
+
+def _eigenvalue(spec, j: int, op: str, var: str) -> Fraction:
+    if not (0 <= j <= spec.n):
+        raise ValueError(f"{op} domain error: {var}={j}, n={spec.n}")
+    _, nums, den = _levels(spec)
+    return Fraction(nums[j], den)
+
+
 def cube_eigenvalue(spec: WalkSpec, j: int) -> Fraction:
     """Eigenvalue p + (1-p) K_j(k) on character level j."""
-    if not (0 <= j <= spec.n):
-        raise ValueError(f"cube_eigenvalue domain error: j={j}, n={spec.n}")
-    nums, den = cube_eigen_numerators(spec)
-    return Fraction(nums[j], den)
+    return _eigenvalue(spec, j, "cube_eigenvalue", "j")
+
+
+def zmn_eigenvalue(cspec: CyclicWalkSpec, w: int) -> Fraction:
+    """Eigenvalue on characters of support size w; C(n-w,k)/C(n,k), m-free."""
+    return _eigenvalue(cspec, w, "zmn_eigenvalue", "w")
+
+
+def _spectrum(spec) -> SpectrumTable:
+    """Every level of either walk, with non_ergodic set when a nonzero level has |eigenvalue| 1."""
+    mults, nums, den = _levels(spec)
+    rows = tuple(SpectrumRow(j, Fraction(v, den), c) for j, (c, v) in enumerate(zip(mults, nums)))
+    return SpectrumTable(spec, rows, non_ergodic=any(abs(v) == den for v in nums[1:]))
 
 
 def cube_spectrum(spec: WalkSpec) -> SpectrumTable:
@@ -126,11 +162,12 @@ def cube_spectrum(spec: WalkSpec) -> SpectrumTable:
     value 1 occurs for even k (the walk is confined to a parity coset) and
     value -1 for p = 0 with k odd (period two).
     """
-    nums, den = cube_eigen_numerators(spec)
-    row_mult = binom_row(spec.n)
-    rows = tuple(SpectrumRow(j, Fraction(v, den), row_mult[j]) for j, v in enumerate(nums))
-    non_ergodic = any(abs(v) == den for v in nums[1:])
-    return SpectrumTable(spec, rows, non_ergodic)
+    return _spectrum(spec)
+
+
+def zmn_spectrum(cspec: CyclicWalkSpec) -> SpectrumTable:
+    """All n+1 support-size levels; never non_ergodic, as C(n-w,k) < C(n,k) for w >= 1."""
+    return _spectrum(cspec)
 
 
 def l2_upper_bound(spec: WalkSpec, l: int, exact: bool | None = None):
@@ -140,78 +177,62 @@ def l2_upper_bound(spec: WalkSpec, l: int, exact: bool | None = None):
     to uniform when the walk is started at a point).  Returns a Fraction in
     the exact regime, a float otherwise (inf beyond float range).
     """
+    return _l2_sum(spec, l, exact, "l2_upper_bound")
+
+
+def zmn_l2_upper_bound(cspec: CyclicWalkSpec, l: int, exact: bool | None = None):
+    """sum_{w>=1} C(n,w)(m-1)^w (C(n-w,k)/C(n,k))^{2l}."""
+    return _l2_sum(cspec, l, exact, "zmn_l2_upper_bound")
+
+
+def _l2_sum(spec, l: int, exact: bool | None, op: str):
+    """_l2_curve(spec, exact, start=l)'s first value; exact up to EXACT_BACKEND_MAX_N by default."""
     if l < 0:
-        raise ValueError(f"l2_upper_bound requires l >= 0, got l={l}")
-    nums, den = cube_eigen_numerators(spec)
-    return _l2_sum(binom_row(spec.n), nums, den, l, exact)
-
-
-def _l2_sum(mults, nums, den, l: int, exact: bool | None):
-    """sum_{level>=1} mults * (nums / den)^{2l}, over the levels of one spectrum.
-
-    The exact branch is one integer sum over den^{2l}; 0**0 == 1 counts the
-    zero eigenvalues at l = 0.  The float branch takes each term's log from
-    _log_levels and sums in log space, so it reaches inf only when the sum
-    itself leaves float range.
-    """
+        raise ValueError(f"{op} requires l >= 0, got l={l}")
     if exact is None:
-        exact = len(nums) - 1 <= EXACT_BACKEND_MAX_N
-    if exact:
-        return Fraction(sum(c * v ** (2 * l) for c, v in zip(mults[1:], nums[1:])), den ** (2 * l))
-    log_mults, log_eig_sq = _log_levels(mults, nums, den)
-    if l == 0:
-        return fsum_exp(log_mults)
-    return fsum_exp(m + l * e for m, e in zip(log_mults, log_eig_sq))
+        exact = spec.n <= EXACT_BACKEND_MAX_N
+    return next(_l2_curve(spec, exact, l))
 
 
-def _log_levels(mults, nums, den) -> tuple[list[float], list[float]]:
-    """(ln mults_j, ln (nums_j / den)^2) for the levels j >= 1 of one spectrum.
+def _log_levels(spec):
+    """(ln mults_j, ln (nums_j / den)^2) for the levels j >= 1, as float64 arrays.
 
     abs(v) / den is correctly rounded; below float range the logs of the two
     integers are subtracted instead.  A zero eigenvalue's log is -inf, so its
-    term vanishes for l >= 1; callers count it at l = 0 from ln mults alone,
-    as 0**0 == 1 does in the exact sum.
+    term vanishes for l >= 1.
     """
-    log_mults, log_eig_sq = [], []
-    for c, v in zip(mults[1:], nums[1:]):
-        log_mults.append(math.log(c))
-        if v:
-            r = abs(v) / den
-            log_eig = math.log(r) if r >= sys.float_info.min else math.log(abs(v)) - math.log(den)
-            log_eig_sq.append(2 * log_eig)
-        else:
-            log_eig_sq.append(-math.inf)
-    return log_mults, log_eig_sq
+    import numpy as np
+
+    mults, nums, den = _levels(spec)
+    log_eig_sq = [-math.inf] * (len(nums) - 1)
+    for j, v in enumerate(nums[1:]):
+        r = abs(v) / den
+        if r >= sys.float_info.min:
+            log_eig_sq[j] = 2 * math.log(r)
+        elif v:
+            log_eig_sq[j] = 2 * (math.log(abs(v)) - math.log(den))
+    return np.array([math.log(c) for c in mults[1:]]), np.array(log_eig_sq)
 
 
-def _l2_curve(spec, exact: bool = True):
-    """Yield the l2 sum of a cube or cyclic walk for l = 0, 1, 2, ...
+def _l2_curve(spec, exact: bool = True, start: int = 0):
+    """Yield the l2 sum sum_{level>=1} mults (nums / den)^{2l} for l = start, start + 1, ...
 
-    The l-th value equals l2_upper_bound(spec, l, exact), or
-    zmn_l2_upper_bound(spec, l, exact) for a CyclicWalkSpec: one _l2_sum
-    over the same table.  Exact: each term mults_j nums_j^{2l} is kept and
-    multiplied by the small nums_j^2 per step, a big-by-small product
-    instead of a fresh power.  Float: the terms' logs ln mults_j +
-    l ln eigenvalue_j^2 are summed by numerics.sum_exp, one array
-    expression per l.  Either way the l = 0 terms are the multiplicities
-    themselves, so the zero eigenvalues count there as 0**0 == 1 does.
+    Exact: one integer sum over den^{2l}; each term mults_j nums_j^{2l} is
+    kept and multiplied by the small nums_j^2 per step, a big-by-small
+    product instead of a fresh power.  Float: the terms' logs ln mults_j +
+    l ln eigenvalue_j^2 summed by numerics.sum_exp, one array expression per
+    l, inf only when the sum itself leaves float range.  At l = 0 every
+    term is its multiplicity, so zero eigenvalues count as 0**0 == 1 (in
+    floats 0 * -inf would be nan).
     """
-    if isinstance(spec, CyclicWalkSpec):
-        nums, den = _zmn_eigen_numerators(spec)
-        mults = _zmn_multiplicities(spec.n, spec.m)
-    else:
-        nums, den = cube_eigen_numerators(spec)
-        mults = binom_row(spec.n)
     if not exact:
-        import numpy as np
-
-        log_mults, log_eig_sq = (np.array(t) for t in _log_levels(mults, nums, den))
-        yield sum_exp(log_mults)
-        for l in itertools.count(1):
-            yield sum_exp(log_mults + l * log_eig_sq)
-    terms = list(mults[1:])
+        log_mults, log_eig_sq = _log_levels(spec)
+        for l in itertools.count(start):
+            yield sum_exp(log_mults + l * log_eig_sq if l else log_mults)
+    mults, nums, den = _levels(spec)
+    terms = [c * v ** (2 * start) for c, v in zip(mults[1:], nums[1:])]
     squares = [v * v for v in nums[1:]]
-    den_sq, den_pow = den * den, 1
+    den_sq, den_pow = den * den, den ** (2 * start)
     while True:
         yield Fraction(sum(terms), den_pow)
         terms = [t * v for t, v in zip(terms, squares)]
@@ -233,41 +254,6 @@ def l2_lower_bound_odd_levels(spec: WalkSpec, l: int) -> Fraction:
     if spec.k % 2 != 1:
         raise ValueError(f"odd-level bound needs odd k = n/2 (n = 2 mod 4), got k={spec.k}")
     return 2 ** (spec.n - 1) * spec.p ** (2 * l)
-
-
-def _zmn_eigen_numerators(cspec: CyclicWalkSpec) -> tuple[list[int], int]:
-    """(nums, den) with eigenvalue_w = nums[w] / den = C(n-w,k) / C(n,k)."""
-    n, k = cspec.n, cspec.k
-    return [math.comb(n - w, k) for w in range(n + 1)], math.comb(n, k)
-
-
-@functools.lru_cache(maxsize=8)
-def _zmn_multiplicities(n: int, m: int) -> tuple[int, ...]:
-    """C(n,w) (m-1)^w for w = 0..n; cached, since the products are big at large n."""
-    return tuple(c * (m - 1) ** w for w, c in enumerate(binom_row(n)))
-
-
-def zmn_eigenvalue(cspec: CyclicWalkSpec, w: int) -> Fraction:
-    """Eigenvalue on characters of support size w; C(n-w,k)/C(n,k), m-free."""
-    if not (0 <= w <= cspec.n):
-        raise ValueError(f"zmn_eigenvalue domain error: w={w}, n={cspec.n}")
-    nums, den = _zmn_eigen_numerators(cspec)
-    return Fraction(nums[w], den)
-
-
-def zmn_spectrum(cspec: CyclicWalkSpec) -> SpectrumTable:
-    nums, den = _zmn_eigen_numerators(cspec)
-    mult = _zmn_multiplicities(cspec.n, cspec.m)
-    rows = tuple(SpectrumRow(w, Fraction(v, den), mult[w]) for w, v in enumerate(nums))
-    return SpectrumTable(cspec, rows, non_ergodic=False)
-
-
-def zmn_l2_upper_bound(cspec: CyclicWalkSpec, l: int, exact: bool | None = None):
-    """sum_{w>=1} C(n,w)(m-1)^w (C(n-w,k)/C(n,k))^{2l}."""
-    if l < 0:
-        raise ValueError(f"zmn_l2_upper_bound requires l >= 0, got l={l}")
-    nums, den = _zmn_eigen_numerators(cspec)
-    return _l2_sum(_zmn_multiplicities(cspec.n, cspec.m), nums, den, l, exact)
 
 
 @dataclass(frozen=True)

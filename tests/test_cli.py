@@ -112,30 +112,48 @@ def test_tv_cyclic_curve(tmp_path):
     # l = 0: the start is a point mass, so TV = 1 - 1/8 and nothing touched.
     assert lines[1].split(",")[4] == "7/8"
     assert lines[1].split(",")[5] == "1/1"
-    # The cyclic curve has no float backend.
-    assert main(["tv", "--n", "3", "--k", "1", "--m", "2", "--steps", "2", "--backend", "float", "--output", str(out)]) == 1
+    # The float backend steps the same chains in float64.
+    fout = tmp_path / "tvcf.csv"
+    assert main(["tv", "--n", "3", "--k", "1", "--m", "2", "--steps", "2", "--backend", "float", "--output", str(fout)]) == 0
+    assert _lines(fout)[0] == "l,tv,separation_tail,l2_sq_bound"
+    for want, got in zip(_csv_rows(out), _csv_rows(fout), strict=True):
+        assert abs(float(got["tv"]) - float(Fraction(want["tv_exact"]))) <= 1e-12, want["l"]
 
 
 def test_tv_cyclic_curve_steps_once_per_l(tmp_path, monkeypatch):
-    # like the cube curve: one kernel build, then one evolve step per l
-    builds, steps = [], []
-    real_kernel, real_evolve = exactdist.touched_weight_kernel, exactdist.evolve
+    # like the cube curve: one build of each kernel (the support-size chain
+    # for TV, the touched-count chain for separation), then one evolve step
+    # per l on each
+    names = ("support_weight_kernel", "touched_weight_kernel")
+    real = {name: getattr(exactdist, name) for name in names}
+    real_evolve = exactdist.evolve
+    builds, steps = [], {}
 
-    def kernel(cspec):
-        builds.append(cspec)
-        return real_kernel(cspec)
+    def building(name):
+        def kernel(cspec):
+            built = real[name](cspec)
+            builds.append((name, built))
+            return built
+
+        return kernel
 
     def stepped(dist, kern, n_steps):
-        steps.append(n_steps)
+        steps.setdefault(id(kern), []).append(n_steps)
         return real_evolve(dist, kern, n_steps)
 
     for module in (cli, exactdist):
-        monkeypatch.setattr(module, "touched_weight_kernel", kernel, raising=False)
+        for name in names:
+            monkeypatch.setattr(module, name, building(name), raising=False)
         monkeypatch.setattr(module, "evolve", stepped, raising=False)
     out = str(tmp_path / "tvc.csv")
-    assert main(["tv", "--n", "10", "--m", "3", "--k", "2", "--steps", "20", "--output", out]) == 0
-    assert len(builds) == 1
-    assert steps == [1] * 20
+    for backend in ("exact", "float"):
+        builds.clear()
+        steps.clear()
+        argv = ["tv", "--n", "10", "--m", "3", "--k", "2", "--steps", "20", "--backend", backend]
+        assert main(argv + ["--output", out]) == 0
+        assert sorted(name for name, _ in builds) == list(names)
+        assert len(steps) == 2
+        assert {name: steps[id(kern)] for name, kern in builds} == {name: [1] * 20 for name in names}
 
 
 def test_exact_tv_curves_read_l2_from_eigenvalue_powers(tmp_path, monkeypatch):
@@ -176,22 +194,36 @@ def _csv_rows(path):
 
 @pytest.mark.parametrize(
     "n,k,p,steps",
-    [(40, 3, "0", 300), (150, 5, "1/3", 300), (400, 7, "1/2", 200), (6, 3, "1/2", 3), (4, 2, "0", 3)],
+    [(40, 3, "0", 300), (150, 5, "1/3", 300), (400, 7, "1/2", 200), (6, 3, "1/2", 3), (4, 2, "0", 3),
+     (40, 3, "m=3", 60), (200, 5, "m=3", 130), (400, 7, "m=5", 100), (6, 6, "m=3", 3)],
 )
 def test_float_tv_curve_matches_exact(n, k, p, steps, tmp_path, no_int_str_limit):
     # float TV within 1e-12, float l2 within 1e-12 of 1 + l2; (6, 3) and
-    # (4, 2) at p = 0 have zero eigenvalues, which count at l = 0 only
-    argv = ["tv", "--n", str(n), "--k", str(k), "--p", p, "--steps", str(steps)]
+    # (4, 2) at p = 0 have zero eigenvalues, which count at l = 0 only.
+    # p = "m=M" runs the cyclic walk on (Z/MZ)^n instead: its separation tail
+    # is within 1e-12 too, and its exact l2 is the exact eigenvalue curve;
+    # at k = n every nontrivial eigenvalue is zero
+    m = int(p[2:]) if p.startswith("m=") else None
+    walk = ["--p", p] if m is None else ["--m", str(m)]
+    argv = ["tv", "--n", str(n), "--k", str(k), *walk, "--steps", str(steps)]
     exact_out, float_out = tmp_path / "exact.csv", tmp_path / "float.csv"
     assert main(argv + ["--backend", "exact", "--output", str(exact_out)]) == 0
     assert main(argv + ["--backend", "float", "--output", str(float_out)]) == 0
     exact_rows, float_rows = _csv_rows(exact_out), _csv_rows(float_out)
     assert len(float_rows) == len(exact_rows) == steps + 1
-    assert Fraction(exact_rows[0]["l2_sq_exact"]) == 2**n - 1
-    for want, got in zip(exact_rows, float_rows):
-        tv, l2 = Fraction(want["tv_exact"]), Fraction(want["l2_sq_exact"])
+    if m is None:
+        l2_column, l2s = "l2_sq", [Fraction(row["l2_sq_exact"]) for row in exact_rows]
+    else:
+        l2_column, l2s = "l2_sq_bound", spectrum._l2_curve(spectrum.CyclicWalkSpec(n, m, k))
+        for want, got in zip(exact_rows, float_rows):
+            sep = Fraction(want["separation_tail_exact"])
+            assert abs(float(got["separation_tail"]) - float(sep)) <= 1e-12, want["l"]
+    for want, got, l2 in zip(exact_rows, float_rows, l2s):
+        if want["l"] == "0":
+            assert l2 == (m or 2) ** n - 1
+        tv = Fraction(want["tv_exact"])
         assert abs(float(got["tv"]) - float(tv)) <= 1e-12, want["l"]
-        assert abs(float(got["l2_sq"]) - float(l2)) <= 1e-12 * (1 + float(l2)), want["l"]
+        assert abs(float(got[l2_column]) - float(l2)) <= 1e-12 * (1 + float(l2)), want["l"]
 
 
 @pytest.mark.parametrize(
@@ -412,6 +444,35 @@ def test_verify_parts_errors_name_the_flag(parts, tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         f"cubemix: error: --parts expects comma-separated integers in 1..9, got {parts!r}"
     ]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify", "--lemma", "probineq", "--n", "8"], "--n expects an integer = 2 mod 4, got 8"),
+        (["verify", "--lemma", "eig34", "--n", "8"], "--n expects an integer = 2 mod 4, got 8"),
+        (["verify", "--lemma", "symmetry", "--n", "7"], "--n expects an even integer >= 2, got 7"),
+        (["verify", "--lemma", "marginal", "--n", "9", "--k", "3"], "--n expects an integer in 1..8, got 9"),
+        (["verify", "--lemma", "marginal", "--n", "4", "--k", "5"], "--k expects an integer in 1..4, got 5"),
+        (["couple", "--n", "8", "--k", "2"], "--k expects an odd integer, got 2"),
+        (["couple", "--n", "8", "--k", "3", "--trials", "0"], "--trials expects an integer >= 1, got 0"),
+        (["couple", "--n", "8", "--k", "3", "--steps", "-1"], "--steps expects an integer >= 0, got -1"),
+        (["tv", "--n", "5", "--m", "3", "--k", "2", "--p", "1/3", "--steps", "1"],
+         "--p is the cube walk's hold probability; the cyclic walk has none"),
+        (["spectrum", "--n", "5", "--m", "3", "--k", "2", "--p", "1/3"],
+         "--p is the cube walk's hold probability; the cyclic walk has none"),
+        (["spectrum", "--n", "5", "--m", "3", "--k", "2", "--p", "1/2"],
+         "--p is the cube walk's hold probability; the cyclic walk has none"),
+    ],
+    ids=["probineq-n", "eig34-n", "symmetry-n", "marginal-n", "marginal-k", "couple-k", "couple-trials",
+         "couple-steps", "tv-cyclic-p", "spectrum-cyclic-p", "spectrum-cyclic-default-p"],
+)
+def test_domain_errors_name_the_flag(argv, message, tmp_path, capsys):
+    # one line naming the flag, not the library function behind it
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [f"cubemix: error: {message}"]
 
 
 @pytest.mark.parametrize("n_max", ["1", "0", "-3"])

@@ -22,6 +22,7 @@ from cubemix import (
     l2_upper_bound,
     separation_tail,
     spectral_dist,
+    support_weight_kernel,
     touched_weight_kernel,
     tv_to_uniform,
     zmn_exact_tv,
@@ -247,14 +248,34 @@ def test_touched_kernel_structure():
     assert kern.rows[5] == {5: math.comb(5, 2)}
 
 
-def _touched_curve(cspec, lmax):
-    """Touched-count profiles for l = 0..lmax, stepping one profile."""
-    kern = touched_weight_kernel(cspec)
-    prof = WeightDistribution.delta(cspec.n)
+def test_support_kernel_structure():
+    # rows sum to C(n,k) m^k and move by -k..k; the uniform support-size
+    # profile C(n,s)(m-1)^s / m^n is stationary
+    for n in range(1, 13):
+        for m in (2, 3, 5):
+            for k in range(1, n + 1):
+                kern = support_weight_kernel(CyclicWalkSpec(n, m, k))
+                assert kern.den == math.comb(n, k) * m**k
+                for s, row in enumerate(kern.rows):
+                    assert sum(row.values()) == kern.den
+                    assert all(0 <= t <= n and -k <= t - s <= k for t in row), (n, m, k, s)
+                unif = [math.comb(n, s) * (m - 1) ** s for s in range(n + 1)]
+                stationary = WeightDistribution(n, nums=unif, den=m**n)
+                assert evolve(stationary, kern, 1).probs == stationary.probs, (n, m, k)
+
+
+def _curve(kern, lmax):
+    """Profiles of the point start at 0 for l = 0..lmax, stepping one profile."""
+    prof = WeightDistribution.delta(kern.n)
     yield prof
     for _ in range(lmax):
         prof = evolve(prof, kern, 1)
         yield prof
+
+
+def _touched_curve(cspec, lmax):
+    """Touched-count profiles for l = 0..lmax."""
+    return _curve(touched_weight_kernel(cspec), lmax)
 
 
 def test_separation_tail_basics():
@@ -302,19 +323,28 @@ def _naive_zmn_tv(n, m, k, lmax):
 
 def test_touched_reductions_reject_float_profiles():
     cspec = CyclicWalkSpec(5, 3, 2)
-    touched = evolve(WeightDistribution.delta(5).to_float(), touched_weight_kernel(cspec), 3)
+    kern = touched_weight_kernel(cspec)
+    touched = evolve(WeightDistribution.delta(5).to_float(), kern, 3)
     with pytest.raises(ValueError, match="zmn_exact_tv is exact-only"):
         zmn_exact_tv(touched, 3)
-    with pytest.raises(ValueError, match="separation_tail is exact-only"):
-        separation_tail(touched)
+    # separation_tail reads either backend; the float tail is the exact one
+    # to rounding
+    exact = separation_tail(evolve(WeightDistribution.delta(5), kern, 3))
+    tail = separation_tail(touched)
+    assert isinstance(exact, Fraction) and isinstance(tail, float)
+    assert abs(tail - float(exact)) <= 1e-15
 
 
 def test_zmn_tv_vs_naive_full_state_oracle():
-    for n, m, k in [(3, 2, 1), (2, 3, 1), (3, 2, 2), (2, 2, 2)]:
+    # the touched profile through zmn_exact_tv, and the support-size chain
+    # through tv_to_uniform, against all m^n states
+    for n, m, k in [(3, 2, 1), (2, 3, 1), (3, 2, 2), (2, 2, 2), (3, 3, 2)]:
         cspec = CyclicWalkSpec(n, m, k)
         naive = _naive_zmn_tv(n, m, k, 4)
-        for prof, expected in zip(_touched_curve(cspec, 4), naive, strict=True):
+        supports = _curve(support_weight_kernel(cspec), 4)
+        for prof, support, expected in zip(_touched_curve(cspec, 4), supports, naive, strict=True):
             assert zmn_exact_tv(prof, m) == expected
+            assert tv_to_uniform(support, m) == expected
 
 
 def test_zmn_distance_chain():
@@ -373,15 +403,19 @@ def test_l2_to_uniform_matches_fraction_oracle_off_point_starts():
 
 def test_zmn_exact_tv_matches_fraction_oracle():
     # every k and m in {2, 3, 5} for n <= 20; l = 0, 30 and one seeded l
-    # between, so that the sweep as a whole covers the steps in between
+    # between, so that the sweep as a whole covers the steps in between.
+    # The support-size chain's tv_to_uniform(., m) gives the same Fraction.
     rng = random.Random(6)
     for n in range(1, 21):
         for k in range(1, n + 1):
             kern = touched_weight_kernel(CyclicWalkSpec(n, 2, k))
+            supports = {m: _curve(support_weight_kernel(CyclicWalkSpec(n, m, k)), 30) for m in (2, 3, 5)}
             prof = WeightDistribution.delta(n)
             checked = {0, rng.randrange(1, 30), 30}
             for l in range(31):
+                support = {m: next(curve) for m, curve in supports.items()}
                 for m in (2, 3, 5) if l in checked else ():
                     got = zmn_exact_tv(prof, m)
                     assert got == _fraction_zmn_tv(prof, m), (n, m, k, l)
+                    assert tv_to_uniform(support[m], m) == got, (n, m, k, l)
                 prof = evolve(prof, kern, 1)

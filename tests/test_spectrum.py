@@ -165,9 +165,9 @@ def test_l2_curve_matches_per_l_bounds():
 
 
 def test_float_l2_curve_matches_float_per_l_bounds():
-    # the float curve sums the same log terms as the per-l float branch, in
-    # numpy instead of math.fsum; CyclicWalkSpec(4, 3, 4) has only zero
-    # nontrivial eigenvalues, so its curve is 80 at l = 0 and 0.0 after
+    # the per-l float bound is the curve's float sum started at l, so the two
+    # are equal; CyclicWalkSpec(4, 3, 4) has only zero nontrivial
+    # eigenvalues, so its curve is 80 at l = 0 and 0.0 after
     cases = [
         (WalkSpec(6, 3), l2_upper_bound),
         (WalkSpec(4, 2, Fraction(0)), l2_upper_bound),
@@ -179,11 +179,7 @@ def test_float_l2_curve_matches_float_per_l_bounds():
     for spec, bound in cases:
         curve = _l2_curve(spec, exact=False)
         for l in range(41):
-            got, want = next(curve), bound(spec, l, exact=False)
-            if math.isinf(want):
-                assert math.isinf(got), (spec, l)
-            else:
-                assert got == pytest.approx(want, rel=1e-13, abs=0.0), (spec, l)
+            assert next(curve) == bound(spec, l, exact=False), (spec, l)
     curve = _l2_curve(CyclicWalkSpec(4, 3, 4), exact=False)
     assert [next(curve) for _ in range(3)] == [pytest.approx(80.0, rel=1e-15), 0.0, 0.0]
 
