@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
-from .exactdist import WeightDistribution, WeightKernel, evolve
+from .exactdist import WeightDistribution, WeightKernel, evolve, flip_weight_kernel
 from .numerics import binom_row, cmp_ratio_with_ln2, hypergeom_numerators
 from .spectrum import WalkSpec
 
@@ -228,6 +228,7 @@ def coupling_weight_kernel(spec: WalkSpec) -> WeightKernel:
     n, k = spec.n, spec.k
     C = math.comb(n, k)
     den = 4 * C * C
+    flip = flip_weight_kernel(WalkSpec(n, k, 0)).rows  # non-lazy, over C
     rows: list[dict[int, int]] = []
     for y in range(n + 1):
         row: dict[int, int] = {}
@@ -240,14 +241,9 @@ def coupling_weight_kernel(spec: WalkSpec) -> WeightKernel:
                 row[t] = row.get(t, 0) + 2 * C * c
         else:
             row[y] = C * C
-            one = hypergeom_numerators(n, y, k)
-            for a, c in one.items():
-                t = y + k - 2 * a
-                row[t] = row.get(t, 0) + 2 * C * c
-            for a1, c1 in one.items():
-                y1 = y + k - 2 * a1
-                for a2, c2 in hypergeom_numerators(n, y1, k).items():
-                    t = y1 + k - 2 * a2
+            for y1, c1 in flip[y].items():
+                row[y1] = row.get(y1, 0) + 2 * C * c1
+                for t, c2 in flip[y1].items():
                     row[t] = row.get(t, 0) + c1 * c2
         rows.append(row)
     return WeightKernel(n, rows=rows, den=den)

@@ -181,24 +181,37 @@ class WeightKernel:
         return self._diagonals[exact]
 
 
+def _pick_kernel(n: int, k: int, drop: int, land, den: int, hold: int = 0) -> WeightKernel:
+    """Lumped chain of a walk that picks k of n coordinates per step, over den.
+
+    From size s, i picks lie in the set (hypergeometric), and each (b, f) in
+    land moves s to s + b - drop*i with numerator f; hold is a self-loop."""
+    rows = []
+    for s in range(n + 1):
+        picks = hypergeom_numerators(n, s, k)
+        top, hs = s - drop * min(picks), list(picks.values())
+        row = {s: hold} if hold else {}
+        for b, f in land:
+            moves = zip(range(top + b, -1, -drop), hs)
+            if row:
+                for t, h in moves:
+                    row[t] = row.get(t, 0) + f * h
+            else:
+                row = dict(moves) if f == 1 else {t: f * h for t, h in moves}
+        rows.append(row)
+    return WeightKernel(n, rows=rows, den=den)
+
+
 def flip_weight_kernel(spec: WalkSpec) -> WeightKernel:
     """Weight-lumped kernel of the lazy k-flip walk.
 
     From weight w: hold with probability p, else move to w + k - 2i where i
-    is hypergeometric (i of the k flipped coordinates land on the current
-    support).
+    is hypergeometric (i of the k flips land on the current support).
     """
     n, k, p = spec.n, spec.k, spec.p
     a, q = p.numerator, p.denominator
     C = math.comb(n, k)
-    rows = []
-    for w in range(n + 1):
-        row = {w: a * C} if a else {}
-        for i, c in hypergeom_numerators(n, w, k).items():
-            t = w + k - 2 * i
-            row[t] = row.get(t, 0) + (q - a) * c
-        rows.append(row)
-    return WeightKernel(n, rows=rows, den=q * C)
+    return _pick_kernel(n, k, 2, [(k, q - a)], q * C, hold=a * C)
 
 
 def evolve(dist: WeightDistribution, kernel: WeightKernel, steps: int) -> WeightDistribution:
@@ -447,8 +460,7 @@ def touched_weight_kernel(cspec: CyclicWalkSpec) -> WeightKernel:
     C(n-w,j) C(w,k-j) / C(n,k).
     """
     n, k = cspec.n, cspec.k
-    rows = [{w + j: c for j, c in hypergeom_numerators(n, n - w, k).items()} for w in range(n + 1)]
-    return WeightKernel(n, rows=rows, den=math.comb(n, k))
+    return _pick_kernel(n, k, 1, [(k, 1)], math.comb(n, k))
 
 
 def support_weight_kernel(cspec: CyclicWalkSpec) -> WeightKernel:
@@ -459,16 +471,8 @@ def support_weight_kernel(cspec: CyclicWalkSpec) -> WeightKernel:
     s - i + b: C(s,i) C(n-s,k-i) C(k,b) (m-1)^b over C(n,k) m^k.
     """
     n, m, k = cspec.n, cspec.m, cspec.k
-    fresh = [c * (m - 1) ** b for b, c in enumerate(binom_row(k))]
-    rows = []
-    for s in range(n + 1):
-        row = {}
-        for i, h in hypergeom_numerators(n, s, k).items():
-            # fresh[b] lands on s - i + b
-            for t, f in enumerate(fresh, s - i):
-                row[t] = row.get(t, 0) + h * f
-        rows.append(row)
-    return WeightKernel(n, rows=rows, den=math.comb(n, k) * m**k)
+    fresh = [(b, c * (m - 1) ** b) for b, c in enumerate(binom_row(k))]
+    return _pick_kernel(n, k, 1, fresh, math.comb(n, k) * m**k)
 
 
 def separation_tail(touched: WeightDistribution) -> Fraction | float:
