@@ -18,9 +18,8 @@ from cubemix import (
     flip_weight_kernel,
     reported_steps_comparison,
     second_moment_lower_bound,
-    touched_weight_kernel,
+    support_weight_kernel,
     tv_to_uniform,
-    zmn_exact_tv,
 )
 
 # Upper bound from the coupling argument, scored on a walk small enough
@@ -50,14 +49,14 @@ print()
 print(f"second-moment lower bound n=1000 k=1 c=1: still unmixed at {rep.steps} steps (bound {rep.bound:.3f})")
 
 # The cyclic walk has its own schedule, scored with the exact cyclic TV:
-# the same idiom as the cube, stepping the touched-count profile instead
-# of the weight profile.
-kern = touched_weight_kernel(CyclicWalkSpec(8, 3, 2))
+# the same idiom as the cube, stepping the support-size profile instead of
+# the weight profile and reducing it against uniform on (Z/3Z)^8.
+kern = support_weight_kernel(CyclicWalkSpec(8, 3, 2))
 print()
 print("cyclic schedule n=8 m=3 k=2")
 for c in (0.0, 1.0, 2.0):
     l = cyclic_step_bound(8, 3, 2, c).steps
-    tv = zmn_exact_tv(evolve(WeightDistribution.delta(8), kern, l), 3)
+    tv = tv_to_uniform(evolve(WeightDistribution.delta(8), kern, l), 3)
     print(f"  c={c}: l={l:>2}  4*tv^2 = {float(4 * tv * tv):.3e}  target e^-c = {2.718281828459045 ** -c:.3e}")
 
 # A published table of example step counts does not match what the

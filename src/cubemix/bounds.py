@@ -61,6 +61,13 @@ REPORTED_MIXING_TIME_EXAMPLES = {
 }
 
 
+def _ceil_steps(raw: float, op: str) -> int:
+    """ceil(raw), or a ValueError when the raw step count is beyond float range."""
+    if not math.isfinite(raw):
+        raise ValueError(f"{op}: the step count is beyond float range (raw={raw})")
+    return math.ceil(raw)
+
+
 def coupling_upper_bound_steps(n: int, k: int, c: float, variant: str = "stated") -> BoundReport:
     """Steps after which TV <= 1/c^2, from the coalescence-time analysis.
 
@@ -81,12 +88,13 @@ def coupling_upper_bound_steps(n: int, k: int, c: float, variant: str = "stated"
     else:
         raw = 8 * nk * math.log(n) + 3 * nk + 2 * SQRT2 * nk / (SQRT2 - 1) + 2
     raw += c * math.sqrt(nk * math.log(n))
+    steps = _ceil_steps(raw, "coupling_upper_bound_steps")
     notes = []
     reported = REPORTED_MIXING_TIME_EXAMPLES.get((n, k))
     if reported is not None:
         notes.append(
             f"a published example table lists {reported} steps for (n={n}, k={k}); "
-            f"the formula gives {math.ceil(raw)} and the generating convention of "
+            f"the formula gives {steps} and the generating convention of "
             f"the table value is unidentified"
         )
     return BoundReport(
@@ -94,7 +102,7 @@ def coupling_upper_bound_steps(n: int, k: int, c: float, variant: str = "stated"
         variant=variant,
         params={"n": n, "k": k, "c": c},
         raw_steps=raw,
-        steps=math.ceil(raw),
+        steps=steps,
         bound=1.0 / (c * c),
         bound_metric="tv <= bound",
         notes=tuple(notes),
@@ -135,7 +143,7 @@ def half_flip_step_bound(n: int, eps: float) -> BoundReport:
         variant="stated",
         params={"n": n, "k": n // 2, "eps": eps},
         raw_steps=raw,
-        steps=math.ceil(raw),
+        steps=_ceil_steps(raw, "half_flip_step_bound"),
         bound=eps,
         bound_metric="4*tv^2 <= bound",
     )
@@ -250,7 +258,7 @@ def cyclic_step_bound(n: int, m: int, k: int, c: float) -> BoundReport:
         variant="stated",
         params={"n": n, "m": m, "k": k, "c": c},
         raw_steps=raw,
-        steps=math.ceil(raw),
+        steps=_ceil_steps(raw, "cyclic_step_bound"),
         bound=math.exp(-c),
         bound_metric="4*tv^2 <= bound",
     )
@@ -283,7 +291,7 @@ def comparison_step_bound(n: int, m: int, c: float, variant: str = "stated") -> 
         variant=variant,
         params={"n": n, "m": m, "c": c, "A": a},
         raw_steps=raw,
-        steps=math.ceil(raw),
+        steps=_ceil_steps(raw, "comparison_step_bound"),
         bound=(1.0 + float(n) ** (-n)) * math.exp(-c),
         bound_metric="4*tv^2 <= bound",
         notes=tuple(notes),

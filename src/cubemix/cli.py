@@ -157,12 +157,15 @@ def _use_exact(backend: str, n: int) -> bool:
 
 def _walk(args):
     """(spec, header) of the walk the flags name: the cyclic walk with --m, else the cube."""
+    n = _need(args, "n", lambda n: n >= 1, "an integer >= 1")
+    k = _need(args, "k", lambda k: 1 <= k <= n, f"an integer in 1..{n}")
     if args.m is None:
-        spec = WalkSpec(args.n, args.k, Fraction(1, 2) if args.p is None else args.p)
+        p = Fraction(1, 2) if args.p is None else _need(args, "p", *_HOLD_PROBABILITY)
+        spec = WalkSpec(n, k, p)
     elif args.p is not None:
         raise ValueError("--p is the cube walk's hold probability; the cyclic walk has none")
     else:
-        spec = CyclicWalkSpec(args.n, args.m, args.k)
+        spec = CyclicWalkSpec(n, _need(args, "m", lambda m: m >= 2, "an integer >= 2"), k)
     return spec, {"kind": "cube" if args.m is None else "cyclic", **_sanitize(spec)}
 
 
@@ -324,10 +327,10 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_couple(args) -> int:
+    spec, walk = _walk(args)
     _need(args, "k", lambda k: k % 2 == 1, "an odd integer")
     _need(args, "trials", lambda t: t >= 1, "an integer >= 1")
     _need(args, "steps", lambda l: l >= 0, "an integer >= 0")
-    spec = WalkSpec(args.n, args.k)
     report = simulate_coupling(spec, trials=args.trials, max_steps=args.steps, seed=args.seed)
     exact = coupling_tail_curve(spec, args.steps)
     rows = [
@@ -341,7 +344,7 @@ def _cmd_couple(args) -> int:
         for l in range(args.steps + 1)
     ]
     payload = {
-        "walk": {"kind": "cube", "n": args.n, "k": args.k, "p": "1/2"},
+        "walk": walk,
         "trials": args.trials,
         "seed": args.seed,
         "max_steps": args.steps,
@@ -365,6 +368,7 @@ def _need(args, flag: str, ok=None, expects: str = ""):
 
 
 _TWO_MOD_FOUR = (lambda n: n % 4 == 2, "an integer = 2 mod 4")
+_HOLD_PROBABILITY = (lambda p: 0 <= p < 1, "a fraction in [0, 1)")
 _EVEN = (lambda n: n >= 2 and n % 2 == 0, "an even integer >= 2")
 
 
@@ -435,6 +439,17 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
+def _finite(text: str) -> float:
+    """argparse type for --c and --eps: inf and nan are usage errors too."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expects a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cubemix", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
@@ -462,8 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--eps", type=float, help="target for 4*tv^2 in the half-flip bound")
-    p.add_argument("--c", type=float, help="slack parameter shared by the bound families")
+    p.add_argument("--eps", type=_finite, help="target for 4*tv^2 in the half-flip bound")
+    p.add_argument("--c", type=_finite, help="slack parameter shared by the bound families")
     _add_common(p, "json")
     p.set_defaults(func=_cmd_bounds)
 
@@ -474,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=50)
     _add_common(p, "csv")
-    p.set_defaults(func=_cmd_couple)
+    # the half-lazy cube walk: _walk reads no --m or --p here
+    p.set_defaults(func=_cmd_couple, m=None, p=None)
 
     p = sub.add_parser("verify", help="exact lemma certificates")
     p.add_argument("--lemma", required=True, choices=tuple(_LEMMAS))

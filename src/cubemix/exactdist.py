@@ -10,6 +10,10 @@ Both walks share one idiom: a kernel, a point start stepped by evolve(),
 and one reduction, tv_to_uniform(dist, m), against the uniform profile
 C(n,s)(m-1)^s / m^n.  The same lumping carries the coupling analysis and
 the cyclic walk's touched-coordinate chain, which gives separation_tail.
+Every lumped chain is a pick law: i of the k picks land in the current set
+(hypergeometric) and the size moves by an amount linear in i (flip k - 2i,
+touched k - i, support b - i); _pick_kernel builds all three, and the
+coupling kernel composes flip rows.
 
 Every kernel is integer numerators over one denominator, and so is
 every exact distance: each reduction sums integers and builds a single

@@ -92,6 +92,23 @@ def test_coupling_upper_bound_table_note_and_domain():
         coupling_upper_bound_steps(54, 27, 1.0, variant="folk")
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda c: coupling_upper_bound_steps(6, 3, c),
+        lambda c: cyclic_step_bound(6, 3, 2, c),
+        lambda c: comparison_step_bound(6, 3, c),
+    ],
+    ids=["coupling-upper", "cyclic", "comparison"],
+)
+def test_step_counts_beyond_float_range_raise_value_error(evaluate):
+    # a raw step count of inf (or nan) has no ceiling; it must not leak as
+    # OverflowError or "cannot convert float NaN"
+    for c in (1e308, math.inf, math.nan):
+        with pytest.raises(ValueError, match="beyond float range"):
+            evaluate(c)
+
+
 def test_reported_steps_comparison_rows():
     rows = reported_steps_comparison()
     assert [(r.n, r.k) for r in rows] == sorted(REPORTED_MIXING_TIME_EXAMPLES)

@@ -424,15 +424,55 @@ def test_invalid_arguments_exit_one(tmp_path, capsys):
         ["bounds", "--n", "54", "--k", "27", "--backend", "float"],
         ["couple", "--n", "8", "--k", "3", "--backend", "exact"],
         ["verify", "--lemma", "eig34", "--n", "6", "--backend", "exact"],
+        ["bounds", "--n", "6", "--k", "3", "--c", "inf"],
+        ["bounds", "--n", "6", "--k", "3", "--c=-inf"],
+        ["bounds", "--n", "6", "--k", "3", "--c", "nan"],
+        ["bounds", "--n", "6", "--eps", "nan"],
+        ["bounds", "--n", "6", "--eps", "inf"],
+        ["bounds", "--n", "6", "--m", "3", "--k", "2", "--c", "1e308"],
+        ["bounds", "--n", "6", "--m", "3", "--k", "4", "--c", "1e308"],
+        ["bounds", "--n", "6", "--k", "3", "--c", "1e308"],
     ],
     ids=["tv-negative-steps", "tv-cyclic-negative-steps", "spectrum-p-zero-den", "tv-p-zero-den",
-         "bounds-backend", "couple-backend", "verify-backend"],
+         "bounds-backend", "couple-backend", "verify-backend", "bounds-c-inf", "bounds-c-minus-inf",
+         "bounds-c-nan", "bounds-eps-nan", "bounds-eps-inf", "bounds-c-1e308-m", "bounds-c-1e308-cyclic",
+         "bounds-c-1e308"],
 )
 def test_rejected_inputs_exit_one_without_output(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(argv + ["--output", str(out)]) == 1
     assert not out.exists()
-    assert "error:" in capsys.readouterr().err.splitlines()[-1]
+    err = capsys.readouterr().err
+    assert "error:" in err.splitlines()[-1]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--c", "inf"], "argument --c: expects a finite number, got 'inf'"),
+        (["--c", "nan"], "argument --c: expects a finite number, got 'nan'"),
+        (["--eps", "inf"], "argument --eps: expects a finite number, got 'inf'"),
+        (["--c", "x"], "argument --c: invalid float value: 'x'"),
+    ],
+    ids=["c-inf", "c-nan", "eps-inf", "c-not-a-number"],
+)
+def test_bounds_non_finite_flags_are_usage_errors(argv, message, tmp_path, capsys):
+    out = tmp_path / "b.json"
+    assert main(["bounds", "--n", "6", "--k", "3", *argv, "--output", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: cubemix bounds")
+    assert err[-1] == f"cubemix bounds: error: {message}"
+
+
+def test_bounds_step_count_beyond_float_range_is_one_line(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    assert main(["bounds", "--n", "6", "--m", "3", "--k", "2", "--c", "1e308", "--output", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "cubemix: error: coupling_upper_bound_steps: the step count is beyond float range (raw=inf)"
+    ]
 
 
 @pytest.mark.parametrize("parts", ["a", "1,,2", "0,3", "10"])
@@ -463,9 +503,17 @@ def test_verify_parts_errors_name_the_flag(parts, tmp_path, capsys):
          "--p is the cube walk's hold probability; the cyclic walk has none"),
         (["spectrum", "--n", "5", "--m", "3", "--k", "2", "--p", "1/2"],
          "--p is the cube walk's hold probability; the cyclic walk has none"),
+        (["tv", "--n", "3", "--k", "5", "--steps", "1"], "--k expects an integer in 1..3, got 5"),
+        (["tv", "--n", "3", "--m", "3", "--k", "0", "--steps", "1"], "--k expects an integer in 1..3, got 0"),
+        (["couple", "--n", "3", "--k", "5"], "--k expects an integer in 1..3, got 5"),
+        (["spectrum", "--n", "5", "--m", "1", "--k", "2"], "--m expects an integer >= 2, got 1"),
+        (["tv", "--n", "0", "--k", "1", "--steps", "1"], "--n expects an integer >= 1, got 0"),
+        (["spectrum", "--n", "5", "--k", "2", "--p", "1"], "--p expects a fraction in [0, 1), got 1"),
+        (["tv", "--n", "5", "--k", "2", "--p", "3/2", "--steps", "1"], "--p expects a fraction in [0, 1), got 3/2"),
     ],
     ids=["probineq-n", "eig34-n", "symmetry-n", "marginal-n", "marginal-k", "couple-k", "couple-trials",
-         "couple-steps", "tv-cyclic-p", "spectrum-cyclic-p", "spectrum-cyclic-default-p"],
+         "couple-steps", "tv-cyclic-p", "spectrum-cyclic-p", "spectrum-cyclic-default-p", "tv-k", "tv-cyclic-k",
+         "couple-k-range", "spectrum-m", "tv-n", "spectrum-p", "tv-p"],
 )
 def test_domain_errors_name_the_flag(argv, message, tmp_path, capsys):
     # one line naming the flag, not the library function behind it

@@ -196,9 +196,14 @@ def _flip_marginal(n, k, x):
         (0b000000, 0b000001),
         (0b110100, 0b001001),
         (0b011111, 0b100000),
+        (0b000000, 0b000000),
+        (0b000000, 0b000111),
+        (0b000000, 0b001111),
     ],
 )
 def test_coupled_step_marginals_and_mismatch_law(x1, x2):
+    # the cases cover every mismatch count y = 0..6, so every row of the
+    # n = 6 coupling kernel is checked against the exhaustive coupled step
     # Exhausting the randomness of one step must reproduce (a) the lazy
     # k-flip marginal for each chain and (b) the mismatch-count kernel row.
     n, k = 6, 3

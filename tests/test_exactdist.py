@@ -264,6 +264,46 @@ def test_support_kernel_structure():
                 assert evolve(stationary, kern, 1).probs == stationary.probs, (n, m, k)
 
 
+def _enumerated_row(n, k, s, walk, p=0, m=2):
+    """Law of the size after one step from a state of size s, by enumeration.
+
+    The state is the lowest s coordinates: set bits for "flip", touched
+    coordinates for "touched", digit 1 for "support".  Every k-subset is
+    tallied, and for "support" every fresh digit vector in (Z/mZ)^k.
+    """
+    law = {s: p} if p else {}
+    subsets = list(itertools.combinations(range(n), k))
+    digits = list(itertools.product(range(m), repeat=k)) if walk == "support" else [None]
+    w = (1 - p) / Fraction(len(subsets) * len(digits))
+    for picked in subsets:
+        for fresh in digits:
+            state = [1 if c < s else 0 for c in range(n)]
+            for j, c in enumerate(picked):
+                if walk == "flip":
+                    state[c] ^= 1
+                elif walk == "touched":
+                    state[c] = 1
+                else:
+                    state[c] = fresh[j]
+            t = sum(1 for v in state if v)
+            law[t] = law.get(t, 0) + w
+    return law
+
+
+def test_kernel_rows_match_enumerated_picks():
+    # each row of the flip, touched and support kernels is the size law of
+    # one step, tallied over every k-subset (and every fresh digit vector)
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            kernels = [("flip", flip_weight_kernel(WalkSpec(n, k, p)), {"p": p}) for p in (0, Fraction(1, 3))]
+            for m in (2, 3):
+                kernels.append(("touched", touched_weight_kernel(CyclicWalkSpec(n, m, k)), {"m": m}))
+                kernels.append(("support", support_weight_kernel(CyclicWalkSpec(n, m, k)), {"m": m}))
+            for walk, kern, params in kernels:
+                for s in range(n + 1):
+                    assert kern.row_fractions(s) == _enumerated_row(n, k, s, walk, **params), (walk, n, k, s, params)
+
+
 def _curve(kern, lmax):
     """Profiles of the point start at 0 for l = 0..lmax, stepping one profile."""
     prof = WeightDistribution.delta(kern.n)
