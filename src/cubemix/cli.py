@@ -28,6 +28,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -157,15 +158,15 @@ def _use_exact(backend: str, n: int) -> bool:
 
 def _walk(args):
     """(spec, header) of the walk the flags name: the cyclic walk with --m, else the cube."""
-    n = _need(args, "n", lambda n: n >= 1, "an integer >= 1")
-    k = _need(args, "k", lambda k: 1 <= k <= n, f"an integer in 1..{n}")
+    n = _need(args, "n", *_POSITIVE)
+    k = _need(args, "k", *_in_range(n))
     if args.m is None:
         p = Fraction(1, 2) if args.p is None else _need(args, "p", *_HOLD_PROBABILITY)
         spec = WalkSpec(n, k, p)
     elif args.p is not None:
         raise ValueError("--p is the cube walk's hold probability; the cyclic walk has none")
     else:
-        spec = CyclicWalkSpec(n, _need(args, "m", lambda m: m >= 2, "an integer >= 2"), k)
+        spec = CyclicWalkSpec(n, _need(args, "m", *_MODULUS), k)
     return spec, {"kind": "cube" if args.m is None else "cyclic", **_sanitize(spec)}
 
 
@@ -236,7 +237,11 @@ def _cmd_tv(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    n = args.n
+    n = _need(args, "n", *_POSITIVE)
+    if args.k is not None:
+        _need(args, "k", *_in_range(n))
+    if args.m is not None:
+        _need(args, "m", *_MODULUS)
     reports = []
 
     def skipped(op, reason):
@@ -329,7 +334,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_couple(args) -> int:
     spec, walk = _walk(args)
     _need(args, "k", lambda k: k % 2 == 1, "an odd integer")
-    _need(args, "trials", lambda t: t >= 1, "an integer >= 1")
+    _need(args, "trials", *_POSITIVE)
     _need(args, "steps", lambda l: l >= 0, "an integer >= 0")
     report = simulate_coupling(spec, trials=args.trials, max_steps=args.steps, seed=args.seed)
     exact = coupling_tail_curve(spec, args.steps)
@@ -367,15 +372,22 @@ def _need(args, flag: str, ok=None, expects: str = ""):
     return value
 
 
+_POSITIVE = (lambda n: n >= 1, "an integer >= 1")
+_MODULUS = (lambda m: m >= 2, "an integer >= 2")
 _TWO_MOD_FOUR = (lambda n: n % 4 == 2, "an integer = 2 mod 4")
 _HOLD_PROBABILITY = (lambda p: 0 <= p < 1, "a fraction in [0, 1)")
 _EVEN = (lambda n: n >= 2 and n % 2 == 0, "an even integer >= 2")
 
 
+def _in_range(top: int):
+    """The check that a flag's integer lies in 1..top."""
+    return lambda v: 1 <= v <= top, f"an integer in 1..{top}"
+
+
 def _marginal_certificate(args):
     top = MARGINAL_CHECK_MAX_N
-    n = _need(args, "n", lambda n: 1 <= n <= top, f"an integer in 1..{top}")
-    return marginal_check(n, _need(args, "k", lambda k: 1 <= k <= n, f"an integer in 1..{n}"))
+    n = _need(args, "n", *_in_range(top))
+    return marginal_check(n, _need(args, "k", *_in_range(n)))
 
 
 def _general_certificate(args):
@@ -450,6 +462,28 @@ def _finite(text: str) -> float:
     return value
 
 
+# a value that starts like a negative number, such as -1/2 or -1e5
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Spell "--flag -1/2" as "--flag=-1/2".
+
+    argparse takes a token after a flag for another flag unless it reads
+    as a plain negative integer or decimal, so "--p -1/2" would fail with
+    "expected one argument" instead of reaching the range check; the
+    --flag=value form is always read as the flag's value.
+    """
+    out: list[str] = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and "=" not in flag and _NEGATIVE_VALUE.match(arg):
+            out[-1] = f"{flag}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cubemix", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
@@ -507,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     # Exact rationals outgrow Python's 4300-digit int-to-str limit well

@@ -16,10 +16,12 @@ Even y, move bit set, subset S drawn, a = |S intersect mismatches|:
 
 The y-process is Markov (transition law depends on y alone), which yields
 an exact absorbing (n+1)-state kernel; P(T > l) from it dominates the TV
-distance of the walk, and the Monte Carlo simulation of the actual bit
-configurations cross-checks it.  The simulator steps raw n-bit ints and
-draws each k-subset with random.sample's algorithm inlined, so it consumes
-the same getrandbits stream as rng.sample(range(n), k) would.
+distance of the walk, and a Monte Carlo simulation cross-checks it.  The
+simulator steps only the mismatch mask x1 xor x2, as an n-bit int: every
+move above reads and changes the pair through that mask alone, and T is
+the first time it empties.  It draws each k-subset with random.sample's
+algorithm inlined, so it consumes the same getrandbits stream as
+rng.sample(range(n), k) would.
 
 The verifiers at the bottom certify, in exact arithmetic, the hypergeometric
 pick-probability inequalities that drive the coupling time analysis, and
@@ -33,8 +35,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from operator import mul
+from itertools import accumulate, combinations
+from operator import mul, sub
 
 from .exactdist import WeightDistribution, WeightKernel, evolve, flip_weight_kernel
 from .numerics import binom_row, cmp_ratio_with_ln2, hypergeom_numerators
@@ -42,6 +44,7 @@ from .spectrum import WalkSpec
 
 MARGINAL_CHECK_MAX_N = 8
 EXACT_SOLVE_MAX_N = 64
+_INLINE_DRAW_MAX_N = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -63,24 +66,31 @@ class CoupledState:
         return self.y == 0
 
 
-def _even_x2_flipset(mismask: int, smask: int) -> int:
-    """Flip mask applied to x2 when x1 flips smask, for even |mismask|."""
+def _repaired_bits(mismask: int, smask: int) -> int:
+    """Mismatches an even-y move repairs when 2|S & mismask| <= |mismask|.
+
+    Each mismatched member of S is paired with the next free mismatched
+    index above it (cyclically); the result is both members of every pair.
+    """
     inter = smask & mismask
-    if 2 * inter.bit_count() > mismask.bit_count():
-        return smask
-    # matched members of S flip in both chains; each mismatched member of S
-    # is paired with the next free mismatched index above it (cyclically),
-    # flipped in x2 only
-    free = mismask & ~smask
-    taken = 0
+    free = mismask ^ inter
+    repaired = inter
     while inter:
         lsb = inter & -inter
         above = free & -(lsb << 1)
         j = (above & -above) or (free & -free)
         free ^= j
-        taken |= j
+        repaired |= j
         inter ^= lsb
-    return (smask & ~mismask) | taken
+    return repaired
+
+
+def _even_x2_flipset(mismask: int, smask: int) -> int:
+    """Flip mask applied to x2 when x1 flips smask, for even |mismask|."""
+    if 2 * (smask & mismask).bit_count() > mismask.bit_count():
+        return smask
+    # matched members of S flip in both chains, each repaired pair in one only
+    return smask ^ _repaired_bits(mismask, smask)
 
 
 def _sample_setsize(k: int) -> int:
@@ -118,21 +128,6 @@ def _draw_mask(getrandbits, n: int, k: int, setsize: int) -> int:
     return mask
 
 
-def _coupled_step_ints(n: int, k: int, setsize: int, x1: int, x2: int, getrandbits) -> tuple[int, int]:
-    """One coupled transition on raw n-bit ints; see coupled_step."""
-    mismask = x1 ^ x2
-    if mismask.bit_count() % 2:
-        if not getrandbits(1):
-            x1 ^= _draw_mask(getrandbits, n, k, setsize)
-        if not getrandbits(1):
-            x2 ^= _draw_mask(getrandbits, n, k, setsize)
-        return x1, x2
-    if getrandbits(1):
-        return x1, x2
-    smask = _draw_mask(getrandbits, n, k, setsize)
-    return x1 ^ smask, x2 ^ _even_x2_flipset(mismask, smask)
-
-
 def coupled_step(spec: WalkSpec, state: CoupledState, rng: random.Random) -> CoupledState:
     """One coupled transition.
 
@@ -144,7 +139,17 @@ def coupled_step(spec: WalkSpec, state: CoupledState, rng: random.Random) -> Cou
     getrandbits calls as rng.sample(range(n), k).
     """
     n, k = spec.n, spec.k
-    x1, x2 = _coupled_step_ints(n, k, _sample_setsize(k), state.x1, state.x2, rng.getrandbits)
+    setsize = _sample_setsize(k)
+    getrandbits = rng.getrandbits
+    x1, x2 = state.x1, state.x2
+    if state.y % 2:
+        if not getrandbits(1):
+            x1 ^= _draw_mask(getrandbits, n, k, setsize)
+        if not getrandbits(1):
+            x2 ^= _draw_mask(getrandbits, n, k, setsize)
+    elif not getrandbits(1):
+        smask = _draw_mask(getrandbits, n, k, setsize)
+        x1, x2 = x1 ^ smask, x2 ^ _even_x2_flipset(x1 ^ x2, smask)
     return CoupledState(n, x1, x2)
 
 
@@ -351,30 +356,65 @@ def _trial_rng(seed: int, trial: int) -> random.Random:
 
 
 def simulate_coupling(spec: WalkSpec, trials: int, max_steps: int, seed: int) -> CouplingTailReport:
-    """Monte Carlo on the actual bit configurations.
+    """Monte Carlo of the coupled moves on the mismatch mask m = x1 ^ x2.
 
-    x1 starts at the origin, x2 uniform; per-trial generators are derived
-    from the seed by SHA-256 of "cubemix-couple:<seed>:<trial>", so results
-    are reproducible across platforms and independent across trials.
+    x1 starts at the origin, x2 uniform, so m starts uniform; per-trial
+    generators are derived from the seed by SHA-256 of
+    "cubemix-couple:<seed>:<trial>", so results are reproducible across
+    platforms and independent across trials.  The getrandbits calls are
+    coupled_step's, in its order: odd y XORs each moving chain's subset into
+    m, even y clears the repaired bits, and y is kept as a running count.
     """
     _require_coupling_spec(spec, "simulate_coupling")
     if trials < 1 or max_steps < 0:
         raise ValueError(f"simulate_coupling needs trials >= 1, max_steps >= 0")
     n, k = spec.n, spec.k
     setsize = _sample_setsize(k)
-    counts = [0] * (max_steps + 1)  # counts[l] += 1 when T > l
-    censored = 0
+    # the even-y draw inlines _draw_mask's set branch: bits[j] is index j's
+    # bit, and 0 for the draws j >= n that randbelow(n) rejects, so one test
+    # rejects both those and repeats.  The table holds O(n^2) bits, so the
+    # pool branch and n above _INLINE_DRAW_MAX_N call _draw_mask instead.
+    inline = setsize < n <= _INLINE_DRAW_MAX_N
+    nbits = n.bit_length()
+    bits = [1 << j for j in range(n)] + [0] * ((1 << nbits) - n) if inline else []
+    picks = range(k)
+    ends = [0] * (max_steps + 2)  # ends[T] += 1; T = max_steps + 1 if censored
     for trial in range(trials):
         getrandbits = _trial_rng(seed, trial).getrandbits
-        x1, x2 = 0, getrandbits(n)
+        m = getrandbits(n)
+        y = m.bit_count()
         t = 0
-        while t < max_steps and x1 != x2:
-            counts[t] += 1
-            x1, x2 = _coupled_step_ints(n, k, setsize, x1, x2, getrandbits)
+        while m and t < max_steps:
             t += 1
-        if x1 != x2:
-            counts[max_steps] += 1
-            censored += 1
+            if y & 1:
+                # independent lazy steps: each moving chain's subset lands in m
+                if not getrandbits(1):
+                    m ^= _draw_mask(getrandbits, n, k, setsize)
+                if not getrandbits(1):
+                    m ^= _draw_mask(getrandbits, n, k, setsize)
+                y = m.bit_count()
+                continue
+            if getrandbits(1):
+                continue
+            if inline:
+                smask = 0
+                for _ in picks:
+                    grown = smask | bits[getrandbits(nbits)]
+                    while grown == smask:
+                        grown = smask | bits[getrandbits(nbits)]
+                    smask = grown
+            else:
+                smask = _draw_mask(getrandbits, n, k, setsize)
+            # with S & m empty, or 2a > y, both chains flip S and m stays
+            inter = smask & m
+            if inter:
+                a = inter.bit_count()
+                if 2 * a <= y:
+                    m ^= _repaired_bits(m, smask)
+                    y -= 2 * a
+        ends[t if not m else max_steps + 1] += 1
+    # survivors[l] counts the trials with T > l
+    survivors = tuple(accumulate(ends[: max_steps + 1], sub, initial=trials))[1:]
     return CouplingTailReport(
         n=n,
         k=k,
@@ -382,8 +422,8 @@ def simulate_coupling(spec: WalkSpec, trials: int, max_steps: int, seed: int) ->
         max_steps=max_steps,
         seed=seed,
         method="monte-carlo",
-        survivors=tuple(counts),
-        censored=censored,
+        survivors=survivors,
+        censored=ends[max_steps + 1],
     )
 
 

@@ -510,10 +510,22 @@ def test_verify_parts_errors_name_the_flag(parts, tmp_path, capsys):
         (["tv", "--n", "0", "--k", "1", "--steps", "1"], "--n expects an integer >= 1, got 0"),
         (["spectrum", "--n", "5", "--k", "2", "--p", "1"], "--p expects a fraction in [0, 1), got 1"),
         (["tv", "--n", "5", "--k", "2", "--p", "3/2", "--steps", "1"], "--p expects a fraction in [0, 1), got 3/2"),
+        (["bounds", "--n", "0", "--k", "1"], "--n expects an integer >= 1, got 0"),
+        (["bounds", "--n", "-3"], "--n expects an integer >= 1, got -3"),
+        (["bounds", "--n", "6", "--m", "1", "--k", "2"], "--m expects an integer >= 2, got 1"),
+        (["bounds", "--n", "6", "--k", "0"], "--k expects an integer in 1..6, got 0"),
+        (["bounds", "--n", "6", "--k", "7"], "--k expects an integer in 1..6, got 7"),
+        # a negative fraction is a value whether it follows a space or "="
+        (["spectrum", "--n", "5", "--k", "2", "--p", "-1/2"], "--p expects a fraction in [0, 1), got -1/2"),
+        (["spectrum", "--n", "5", "--k", "2", "--p=-1/2"], "--p expects a fraction in [0, 1), got -1/2"),
+        (["tv", "--n", "5", "--k", "2", "--p", "-1/2", "--steps", "1"], "--p expects a fraction in [0, 1), got -1/2"),
+        (["tv", "--n", "5", "--k", "2", "--p=-1/2", "--steps", "1"], "--p expects a fraction in [0, 1), got -1/2"),
     ],
     ids=["probineq-n", "eig34-n", "symmetry-n", "marginal-n", "marginal-k", "couple-k", "couple-trials",
          "couple-steps", "tv-cyclic-p", "spectrum-cyclic-p", "spectrum-cyclic-default-p", "tv-k", "tv-cyclic-k",
-         "couple-k-range", "spectrum-m", "tv-n", "spectrum-p", "tv-p"],
+         "couple-k-range", "spectrum-m", "tv-n", "spectrum-p", "tv-p", "bounds-n-zero", "bounds-n-negative",
+         "bounds-m", "bounds-k-zero", "bounds-k-above-n", "spectrum-p-negative-spaced",
+         "spectrum-p-negative-equals", "tv-p-negative-spaced", "tv-p-negative-equals"],
 )
 def test_domain_errors_name_the_flag(argv, message, tmp_path, capsys):
     # one line naming the flag, not the library function behind it
@@ -521,6 +533,17 @@ def test_domain_errors_name_the_flag(argv, message, tmp_path, capsys):
     assert main(argv + ["--output", str(out)]) == 1
     assert not out.exists()
     assert capsys.readouterr().err.splitlines() == [f"cubemix: error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bounds", "--n", "1", "--k", "1"], ["bounds", "--n", "6"], ["couple", "--n", "8", "--k", "3", "--seed", "-4"]],
+    ids=["bounds-n1-k1", "bounds-n-only", "couple-negative-seed"],
+)
+def test_edge_inputs_inside_the_domain_still_run(argv, tmp_path):
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == 0
+    assert out.exists()
 
 
 @pytest.mark.parametrize("n_max", ["1", "0", "-3"])

@@ -84,3 +84,24 @@ def test_output_bytes_are_pinned(case, fmt, tmp_path):
     out = tmp_path / f"{case}.{fmt}"
     code = main(INVOCATIONS[case].split() + ["--format", fmt, "--output", str(out)])
     assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == DIGESTS[(case, fmt)]
+
+
+# The digests above pin the Monte Carlo only at n = 8, where every subset is
+# drawn from random.sample's pool branch.  These pin the couple file at the
+# benchmark's sizes: n = 100, k = 5 draws from the set branch, and n = 54,
+# k = 27 from the pool branch with k > 5.
+COUPLE_AT_BENCH_SIZE = {
+    "couple --n 100 --k 5 --trials 4000 --steps 50 --seed 2":
+        "a0337fda7fb6649e51422bb01fc99653d99ca2ddd3788316694adacda8cd5716",
+    "couple --n 100 --k 5 --trials 4000 --steps 50 --seed 3":
+        "901e021ae477ff7a066dd91b880d51a03859554c58ade5bcbb3b9bfde777a0ae",
+    "couple --n 54 --k 27 --trials 2000 --steps 50 --seed 2":
+        "14232353d75d937d87ecd38f0ac56e5116622f649eea97bac4cac3923c4a0846",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(COUPLE_AT_BENCH_SIZE))
+def test_couple_bytes_are_pinned_at_bench_size(argv, tmp_path):
+    out = tmp_path / "couple.csv"
+    assert main(argv.split() + ["--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == COUPLE_AT_BENCH_SIZE[argv]

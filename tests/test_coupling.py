@@ -385,7 +385,10 @@ def _oracle_simulation(spec, trials, max_steps, seed):
 
 @pytest.mark.parametrize(
     "n,k,trials,max_steps",
-    [(2, 1, 200, 12), (12, 3, 200, 30), (54, 27, 60, 40), (100, 5, 150, 50), (100, 7, 60, 40)],
+    [(2, 1, 200, 12), (12, 3, 200, 30), (54, 27, 60, 40), (100, 5, 150, 50), (100, 7, 60, 40),
+     # random.sample's pool/set switch points for k = 5 (setsize 21) and
+     # k = 7 (setsize 85): the last pool n and the first set n of each
+     (21, 5, 150, 40), (22, 5, 150, 40), (85, 7, 60, 40), (86, 7, 60, 40)],
 )
 def test_simulation_matches_coupled_state_oracle(n, k, trials, max_steps):
     spec = WalkSpec(n, k)
