@@ -44,7 +44,6 @@ from .spectrum import WalkSpec
 
 MARGINAL_CHECK_MAX_N = 8
 EXACT_SOLVE_MAX_N = 64
-_INLINE_DRAW_MAX_N = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -67,12 +66,15 @@ class CoupledState:
 
 
 def _repaired_bits(mismask: int, smask: int) -> int:
-    """Mismatches an even-y move repairs when 2|S & mismask| <= |mismask|.
+    """Mismatches an even-y move repairs: none when 2|S & mismask| > |mismask|.
 
-    Each mismatched member of S is paired with the next free mismatched
-    index above it (cyclically); the result is both members of every pair.
+    Otherwise each mismatched member of S is paired with the next free
+    mismatched index above it (cyclically); the result is both members of
+    every pair.
     """
     inter = smask & mismask
+    if 2 * inter.bit_count() > mismask.bit_count():
+        return 0
     free = mismask ^ inter
     repaired = inter
     while inter:
@@ -87,8 +89,6 @@ def _repaired_bits(mismask: int, smask: int) -> int:
 
 def _even_x2_flipset(mismask: int, smask: int) -> int:
     """Flip mask applied to x2 when x1 flips smask, for even |mismask|."""
-    if 2 * (smask & mismask).bit_count() > mismask.bit_count():
-        return smask
     # matched members of S flip in both chains, each repaired pair in one only
     return smask ^ _repaired_bits(mismask, smask)
 
@@ -122,9 +122,9 @@ def _draw_mask(getrandbits, n: int, k: int, setsize: int) -> int:
     nbits = n.bit_length()
     for _ in range(k):
         j = getrandbits(nbits)
-        while j >= n or mask >> j & 1:
+        while j >= n or (grown := mask | 1 << j) == mask:
             j = getrandbits(nbits)
-        mask |= 1 << j
+        mask = grown
     return mask
 
 
@@ -370,13 +370,9 @@ def simulate_coupling(spec: WalkSpec, trials: int, max_steps: int, seed: int) ->
         raise ValueError(f"simulate_coupling needs trials >= 1, max_steps >= 0")
     n, k = spec.n, spec.k
     setsize = _sample_setsize(k)
-    # the even-y draw inlines _draw_mask's set branch: bits[j] is index j's
-    # bit, and 0 for the draws j >= n that randbelow(n) rejects, so one test
-    # rejects both those and repeats.  The table holds O(n^2) bits, so the
-    # pool branch and n above _INLINE_DRAW_MAX_N call _draw_mask instead.
-    inline = setsize < n <= _INLINE_DRAW_MAX_N
+    # the even-y draw inlines _draw_mask's set branch; the pool branch calls it
+    inline = n > setsize
     nbits = n.bit_length()
-    bits = [1 << j for j in range(n)] + [0] * ((1 << nbits) - n) if inline else []
     picks = range(k)
     ends = [0] * (max_steps + 2)  # ends[T] += 1; T = max_steps + 1 if censored
     for trial in range(trials):
@@ -399,19 +395,17 @@ def simulate_coupling(spec: WalkSpec, trials: int, max_steps: int, seed: int) ->
             if inline:
                 smask = 0
                 for _ in picks:
-                    grown = smask | bits[getrandbits(nbits)]
-                    while grown == smask:
-                        grown = smask | bits[getrandbits(nbits)]
+                    j = getrandbits(nbits)
+                    while j >= n or (grown := smask | 1 << j) == smask:
+                        j = getrandbits(nbits)
                     smask = grown
             else:
                 smask = _draw_mask(getrandbits, n, k, setsize)
             # with S & m empty, or 2a > y, both chains flip S and m stays
-            inter = smask & m
-            if inter:
-                a = inter.bit_count()
-                if 2 * a <= y:
-                    m ^= _repaired_bits(m, smask)
-                    y -= 2 * a
+            if smask & m:
+                repaired = _repaired_bits(m, smask)
+                m ^= repaired
+                y -= repaired.bit_count()
         ends[t if not m else max_steps + 1] += 1
     # survivors[l] counts the trials with T > l
     survivors = tuple(accumulate(ends[: max_steps + 1], sub, initial=trials))[1:]
