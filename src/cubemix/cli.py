@@ -247,8 +247,13 @@ def _cmd_bounds(args) -> int:
     def skipped(op, reason):
         reports.append({"op": op, "skipped": reason})
 
-    c_upper = args.c if args.c is not None else 1.0
+    # each family checks --c and --eps only where it runs, so a value that
+    # only a skipped family would reject still gives a report
+    c_given = args.c is not None
+    c_upper = args.c if c_given else 1.0
     if args.k is not None and 2 * args.k <= n:
+        if c_given:
+            _need(args, "c", lambda c: c > 0, "a number > 0 for the coupling bound")
         for variant in ("stated", "summary"):
             reports.append(
                 _sanitize(bounds_mod.coupling_upper_bound_steps(n, args.k, c_upper, variant))
@@ -258,6 +263,7 @@ def _cmd_bounds(args) -> int:
 
     if args.eps is not None:
         if n % 4 == 2:
+            _need(args, "eps", lambda e: 0 < e < 1, "a number in (0, 1)")
             reports.append(_sanitize(bounds_mod.half_flip_step_bound(n, args.eps)))
         else:
             skipped("half-flip", "requires n = 2 mod 4")
@@ -265,7 +271,7 @@ def _cmd_bounds(args) -> int:
         skipped("half-flip", "requires --eps")
 
     if args.k is not None:
-        c_low = args.c if args.c is not None else min(1.0, math.log(n) / 4)
+        c_low = args.c if c_given else min(1.0, math.log(n) / 4)
         if 0 < c_low <= math.log(n) / 4:
             reports.append(_sanitize(bounds_mod.second_moment_lower_bound(n, args.k, c_low)))
         else:
@@ -274,7 +280,9 @@ def _cmd_bounds(args) -> int:
         skipped("second-moment-lower", "requires --k")
 
     if args.m is not None:
-        c_cyc = args.c if args.c is not None else 1.0
+        if c_given:
+            _need(args, "c", lambda c: c >= 0, "a number >= 0 for the cyclic and comparison bounds")
+        c_cyc = args.c if c_given else 1.0
         if args.k is not None:
             reports.append(_sanitize(bounds_mod.cyclic_step_bound(n, args.m, args.k, c_cyc)))
         else:
@@ -462,8 +470,8 @@ def _finite(text: str) -> float:
     return value
 
 
-# a value that starts like a negative number, such as -1/2 or -1e5
-_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+# a value that starts like a negative number, such as -1/2, -1e5 or -inf
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:

@@ -22,12 +22,16 @@ diagonals (from w the flip walk reaches only w + k - 2i).  Exact
 evolution keeps plain int lists over (step_denominator)^l, avoiding the
 per-addition gcd work of Fractions; float evolution, for walks beyond
 EXACT_BACKEND_MAX_N, uses the same diagonals divided out once into
-correctly rounded float64 arrays, so mass is kept to rounding.  The float
-reductions are numpy array expressions against per-n cached float64
-tables (the uniform weight profile, ln C(n, w)), with no per-weight
-Python loop.  Only the float paths (float distributions, evolution and
-reductions, full_transition_matrix) import numpy, so exact work never
-loads it.
+correctly rounded float64 arrays, so mass is kept to rounding.  Both
+backends reduce against one exact table per (n, m), the support-size
+counts C(n,s)(m-1)^s of spectrum._zmn_multiplicities.  The float
+reductions are numpy array expressions, with no per-weight Python loop,
+against cached float64 tables taken from it entry by entry: the uniform
+profile, each entry one correctly rounded int / int division by m^n, and
+for l2 its logs (math.log of each integer), which stay finite where the
+profile's tail underflows.  Only the float paths (float distributions,
+evolution and reductions, full_transition_matrix) import numpy, so exact
+work never loads it.
 
 brute_force_dist evolves the full 2^n-state distribution without any
 lumping assumption and exists to certify the lumped chain against direct
@@ -46,14 +50,14 @@ from operator import add, mul
 from typing import TYPE_CHECKING
 
 from .krawtchouk import kraw_integer_table
-from .numerics import (
-    EXACT_BACKEND_MAX_N,
-    binom_row,
-    hypergeom_numerators,
-    log_binom,
-    sum_exp,
+from .numerics import EXACT_BACKEND_MAX_N, binom_row, hypergeom_numerators, sum_exp
+from .spectrum import (
+    CyclicWalkSpec,
+    WalkSpec,
+    _log_multiplicities,
+    _zmn_multiplicities,
+    cube_eigen_numerators,
 )
-from .spectrum import CyclicWalkSpec, WalkSpec, _zmn_multiplicities, cube_eigen_numerators
 
 if TYPE_CHECKING:
     import numpy as np
@@ -101,7 +105,7 @@ class WeightDistribution:
     @classmethod
     def binomial(cls, n: int) -> "WeightDistribution":
         """Weight profile of the uniform distribution on {0,1}^n."""
-        return cls(n, nums=list(binom_row(n)), den=1 << n)
+        return cls(n, nums=list(_zmn_multiplicities(n, 2)), den=1 << n)
 
     @classmethod
     def from_fractions(cls, probs) -> "WeightDistribution":
@@ -249,37 +253,25 @@ def evolve(dist: WeightDistribution, kernel: WeightKernel, steps: int) -> Weight
 
 
 @functools.lru_cache(maxsize=8)
-def _log_binoms(n: int) -> np.ndarray:
-    """ln C(n, w) for w = 0..n as a read-only float64 array."""
-    import numpy as np
-
-    out = np.array([log_binom(n, w) for w in range(n + 1)])
-    out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=8)
 def _binom_cofactors(n: int) -> tuple[int, tuple[int, ...]]:
     """(L, [L // C(n, w)]) with L = lcm of the row: 1/C(n, w) over one denominator."""
-    row = binom_row(n)
+    row = _zmn_multiplicities(n, 2)
     L = math.lcm(*row)
     return L, tuple(L // c for c in row)
 
 
 @functools.lru_cache(maxsize=8)
 def _uniform_weight_float(n: int, m: int = 2) -> np.ndarray:
-    """C(n, s) (m-1)^s / m^n for s = 0..n, rescaled so the lgamma errors cancel in the mass.
+    """C(n, s) (m-1)^s / m^n for s = 0..n, each entry one correctly rounded int / int.
 
     A read-only float64 array, since every float TV of the curve reads it.
-    At m = 2 each s ln(m-1) is exactly 0.0, so the cube's profile is
-    ln C(n, s) - n ln 2 exponentiated.
+    Each entry is within half an ulp of the exact value (0.0 once it
+    underflows), so the mass is 1 to within about 2^-53.
     """
     import numpy as np
 
-    lnmn, lnm1 = n * math.log(m), math.log(m - 1)
-    prof = [math.exp(lb + s * lnm1 - lnmn) for s, lb in enumerate(_log_binoms(n).tolist())]
-    mass = math.fsum(prof)
-    out = np.array([v / mass for v in prof])
+    scale = m**n
+    out = np.array([c / scale for c in _zmn_multiplicities(n, m)])
     out.flags.writeable = False
     return out
 
@@ -298,7 +290,10 @@ def tv_to_uniform(dist: WeightDistribution, m: int = 2):
         mult = _zmn_multiplicities(n, m)
         s = sum(abs(v * scale - mult[w] * dist.den) for w, v in enumerate(dist.nums))
         return Fraction(s, 2 * dist.den * scale)
-    return 0.5 * float(abs(dist.vec - _uniform_weight_float(n, m)).sum())
+    # a TV is at most 1; float evolution keeps mass only to a few ulp, so a
+    # sum above 1 is rounding, and 1.0 is nearer the exact value (min with
+    # the sum first lets a nan through)
+    return min(0.5 * float(abs(dist.vec - _uniform_weight_float(n, m)).sum()), 1.0)
 
 
 def l2_to_uniform(dist: WeightDistribution):
@@ -316,7 +311,7 @@ def l2_to_uniform(dist: WeightDistribution):
 
     # ln (P(w)^2 2^n / C(n, w)) over the weights carrying mass
     live = dist.vec != 0
-    logs = 2 * np.log(np.abs(dist.vec[live])) + n * math.log(2.0) - _log_binoms(n)[live]
+    logs = 2 * np.log(np.abs(dist.vec[live])) + n * math.log(2.0) - _log_multiplicities(n, 2)[live]
     return sum_exp(logs) - 1.0
 
 

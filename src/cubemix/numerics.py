@@ -5,10 +5,14 @@ Two numeric regimes are used throughout the package:
   * exact: arbitrary-precision rationals (fractions.Fraction) and plain
     Python integers.  Every probability identity checked in this regime is
     checked without rounding.
-  * log-space floats: for walks too large for rational arithmetic, positive
-    magnitudes are carried as natural logarithms in float64 arrays and
-    summed by numpy's pairwise sum after shifting by the largest log
-    (sum_exp), so a sum is inf only when it leaves float range itself.
+  * floats: for walks too large for rational arithmetic.  The float
+    tables are derived from the exact integers: kernel entries and the
+    uniform profile are each one int / int division (correctly rounded at
+    any size), and log tables are math.log of the exact integers.
+    Positive magnitudes that may leave float range are carried as natural
+    logarithms in float64 arrays and summed by numpy's pairwise sum after
+    shifting by the largest log (sum_exp), so a sum is inf only when it
+    leaves float range itself.
 
 All logarithms are natural logs.  The crossover between the two regimes is
 EXACT_BACKEND_MAX_N, fixed: the automatic backend choices (the CLI's and
@@ -58,10 +62,11 @@ def binom_row(n: int) -> tuple[int, ...]:
 
 
 def log_binom(n: int, k: int) -> float:
-    """ln C(n, k).
+    """ln C(n, k), for callers that want one log without the exact row.
 
     Uses lgamma; relative accuracy of the log value is a few ulp, verified
-    against the big-integer oracle log(comb(n, k)) in the test suite.
+    against the big-integer oracle log(comb(n, k)) in the test suite.  The
+    package's own float tables take math.log of the exact integers instead.
     """
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"log_binom domain error: n={n}, k={k}")
@@ -109,20 +114,13 @@ def sum_exp(logs) -> float:
         return math.inf
 
 
-def cmp_with_ln2(q: Fraction) -> int:
-    """Sign of q - ln 2, decided exactly via rational brackets.
-
-    Raises if q falls inside the 1e-38 bracket, which cannot happen for the
-    small-denominator rationals this package compares.
-    """
-    return cmp_ratio_with_ln2(q.numerator, q.denominator)
-
-
 def cmp_ratio_with_ln2(num: int, den: int) -> int:
-    """Sign of num/den - ln 2 for den > 0, in integers: cmp_with_ln2 without a Fraction.
+    """Sign of num/den - ln 2 for den > 0, decided exactly via rational brackets.
 
     Each bracket is compared by cross-multiplying, so hot loops that hold
-    q as an integer ratio pay no gcd.
+    q as an integer ratio pay no gcd.  Raises if num/den falls inside the
+    1e-38 bracket, which cannot happen for the small-denominator ratios
+    this package compares.
     """
     if num * LN2_LO.denominator <= LN2_LO.numerator * den:
         return -1

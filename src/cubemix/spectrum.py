@@ -11,16 +11,19 @@ its eigenvalue on a character of support size w is C(n-w,k)/C(n,k)
 Every level of either walk is a table of integer numerators over one
 denominator with integer multiplicities, and _levels is the one function
 that tells the walks apart: the spectra, the l2 bounds and the l2 curve
-all read their levels from it.  _l2_curve yields the l2 sum for
-l = start, start + 1, ...: exactly, by carrying each term's power forward,
-one multiplication by a small squared numerator per term and step; or in
-floats, as one numpy log-space sum per l over the per-level log arrays
-(_log_levels).  A per-l bound is the first value of the curve started at
-l, so bound and curve share one body per backend.  From a point start it
-is the chi-square curve, so the CLI's tv curves of both walks and both
-backends read their l2 column from it.  Exact rational spectra are the
-default up to EXACT_BACKEND_MAX_N coordinates; beyond that, per-l bounds
-switch to the float sum.  numpy is imported only by the float sums.
+all read their levels from it.  The multiplicities are one cached exact
+table per (n, m), _zmn_multiplicities (the cube is m = 2), which is also
+the uniform profile that exactdist reduces against.  _l2_curve yields the
+l2 sum for l = start, start + 1, ...: exactly, by carrying each term's
+power forward, one multiplication by a small squared numerator per term
+and step; or in floats, as one numpy log-space sum per l over the
+per-level log arrays (_log_levels).  A per-l bound is the first value of
+the curve started at l, so bound and curve share one body per backend.
+From a point start it is the chi-square curve, so the CLI's tv curves of
+both walks and both backends read their l2 column from it.  Exact
+rational spectra are the default up to EXACT_BACKEND_MAX_N coordinates;
+beyond that, per-l bounds switch to the float sum.  numpy is imported
+only by the float sums.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .krawtchouk import kraw_half
-from .numerics import EXACT_BACKEND_MAX_N, binom_row, sum_exp
+from .numerics import EXACT_BACKEND_MAX_N, sum_exp
 
 
 @dataclass(frozen=True)
@@ -114,21 +117,43 @@ def cube_eigen_numerators(spec: WalkSpec) -> tuple[list[int], int]:
 
 @functools.lru_cache(maxsize=8)
 def _zmn_multiplicities(n: int, m: int) -> tuple[int, ...]:
-    """C(n,w) (m-1)^w for w = 0..n; cached, since the products are big at large n."""
-    return tuple(c * (m - 1) ** w for w, c in enumerate(binom_row(n)))
+    """C(n,w) (m-1)^w for w = 0..n, the points of (Z/mZ)^n with support size w.
+
+    Built by the exact ratio row[w+1] = row[w] (n-w)(m-1) / (w+1), one
+    big-by-small product per entry; cached, since the entries are big at
+    large n.  At m = 2 it is the binomial row.
+    """
+    row = [1]
+    for w in range(n):
+        row.append(row[-1] * ((n - w) * (m - 1)) // (w + 1))
+    return tuple(row)
 
 
-def _levels(spec) -> tuple[tuple[int, ...], list[int], int]:
-    """(mults, nums, den): level j has eigenvalue nums[j] / den, multiplicity mults[j].
+@functools.lru_cache(maxsize=8)
+def _log_multiplicities(n: int, m: int):
+    """math.log of each _zmn_multiplicities(n, m) entry, as a read-only float64 array.
 
-    The one place that tells the two walks apart; every spectrum, l2 bound
-    and l2 curve below reads its levels from here.
+    Float l2 works in logs: above n = 1074 the tail of C(n,w) / 2^n is 0.0.
+    """
+    import numpy as np
+
+    out = np.array([math.log(c) for c in _zmn_multiplicities(n, m)])
+    out.flags.writeable = False
+    return out
+
+
+def _levels(spec) -> tuple[int, list[int], int]:
+    """(m, nums, den): level j has eigenvalue nums[j] / den and multiplicity
+    _zmn_multiplicities(n, m)[j], the number of characters of support size j.
+
+    The one place that tells the two walks apart (the cube is m = 2); every
+    spectrum, l2 bound and l2 curve below reads its levels from here.
     """
     if isinstance(spec, CyclicWalkSpec):
         nums = [math.comb(spec.n - w, spec.k) for w in range(spec.n + 1)]
-        return _zmn_multiplicities(spec.n, spec.m), nums, nums[0]
+        return spec.m, nums, nums[0]
     nums, den = cube_eigen_numerators(spec)
-    return binom_row(spec.n), nums, den
+    return 2, nums, den
 
 
 def _eigenvalue(spec, j: int, op: str, var: str) -> Fraction:
@@ -150,7 +175,8 @@ def zmn_eigenvalue(cspec: CyclicWalkSpec, w: int) -> Fraction:
 
 def _spectrum(spec) -> SpectrumTable:
     """Every level of either walk, with non_ergodic set when a nonzero level has |eigenvalue| 1."""
-    mults, nums, den = _levels(spec)
+    m, nums, den = _levels(spec)
+    mults = _zmn_multiplicities(spec.n, m)
     rows = tuple(SpectrumRow(j, Fraction(v, den), c) for j, (c, v) in enumerate(zip(mults, nums)))
     return SpectrumTable(spec, rows, non_ergodic=any(abs(v) == den for v in nums[1:]))
 
@@ -203,7 +229,7 @@ def _log_levels(spec):
     """
     import numpy as np
 
-    mults, nums, den = _levels(spec)
+    m, nums, den = _levels(spec)
     log_eig_sq = [-math.inf] * (len(nums) - 1)
     for j, v in enumerate(nums[1:]):
         r = abs(v) / den
@@ -211,7 +237,7 @@ def _log_levels(spec):
             log_eig_sq[j] = 2 * math.log(r)
         elif v:
             log_eig_sq[j] = 2 * (math.log(abs(v)) - math.log(den))
-    return np.array([math.log(c) for c in mults[1:]]), np.array(log_eig_sq)
+    return _log_multiplicities(spec.n, m)[1:], np.array(log_eig_sq)
 
 
 def _l2_curve(spec, exact: bool = True, start: int = 0):
@@ -229,8 +255,8 @@ def _l2_curve(spec, exact: bool = True, start: int = 0):
         log_mults, log_eig_sq = _log_levels(spec)
         for l in itertools.count(start):
             yield sum_exp(log_mults + l * log_eig_sq if l else log_mults)
-    mults, nums, den = _levels(spec)
-    terms = [c * v ** (2 * start) for c, v in zip(mults[1:], nums[1:])]
+    m, nums, den = _levels(spec)
+    terms = [c * v ** (2 * start) for c, v in zip(_zmn_multiplicities(spec.n, m)[1:], nums[1:])]
     squares = [v * v for v in nums[1:]]
     den_sq, den_pow = den * den, den ** (2 * start)
     while True:

@@ -454,8 +454,13 @@ def test_rejected_inputs_exit_one_without_output(argv, tmp_path, capsys):
         (["--c", "nan"], "argument --c: expects a finite number, got 'nan'"),
         (["--eps", "inf"], "argument --eps: expects a finite number, got 'inf'"),
         (["--c", "x"], "argument --c: invalid float value: 'x'"),
+        # a spaced -inf or -nan is the flag's value, not another flag
+        (["--c", "-inf"], "argument --c: expects a finite number, got '-inf'"),
+        (["--c", "-nan"], "argument --c: expects a finite number, got '-nan'"),
+        (["--eps", "-inf"], "argument --eps: expects a finite number, got '-inf'"),
     ],
-    ids=["c-inf", "c-nan", "eps-inf", "c-not-a-number"],
+    ids=["c-inf", "c-nan", "eps-inf", "c-not-a-number", "c-minus-inf-spaced", "c-minus-nan-spaced",
+         "eps-minus-inf-spaced"],
 )
 def test_bounds_non_finite_flags_are_usage_errors(argv, message, tmp_path, capsys):
     out = tmp_path / "b.json"
@@ -520,12 +525,18 @@ def test_verify_parts_errors_name_the_flag(parts, tmp_path, capsys):
         (["spectrum", "--n", "5", "--k", "2", "--p=-1/2"], "--p expects a fraction in [0, 1), got -1/2"),
         (["tv", "--n", "5", "--k", "2", "--p", "-1/2", "--steps", "1"], "--p expects a fraction in [0, 1), got -1/2"),
         (["tv", "--n", "5", "--k", "2", "--p=-1/2", "--steps", "1"], "--p expects a fraction in [0, 1), got -1/2"),
+        # --c and --eps are checked by the bound families that run
+        (["bounds", "--n", "6", "--k", "3", "--c", "-1"], "--c expects a number > 0 for the coupling bound, got -1.0"),
+        (["bounds", "--n", "6", "--eps", "2"], "--eps expects a number in (0, 1), got 2.0"),
+        (["bounds", "--n", "7", "--m", "3", "--c", "-1"],
+         "--c expects a number >= 0 for the cyclic and comparison bounds, got -1.0"),
     ],
     ids=["probineq-n", "eig34-n", "symmetry-n", "marginal-n", "marginal-k", "couple-k", "couple-trials",
          "couple-steps", "tv-cyclic-p", "spectrum-cyclic-p", "spectrum-cyclic-default-p", "tv-k", "tv-cyclic-k",
          "couple-k-range", "spectrum-m", "tv-n", "spectrum-p", "tv-p", "bounds-n-zero", "bounds-n-negative",
          "bounds-m", "bounds-k-zero", "bounds-k-above-n", "spectrum-p-negative-spaced",
-         "spectrum-p-negative-equals", "tv-p-negative-spaced", "tv-p-negative-equals"],
+         "spectrum-p-negative-equals", "tv-p-negative-spaced", "tv-p-negative-equals", "bounds-c-coupling",
+         "bounds-eps", "bounds-c-cyclic"],
 )
 def test_domain_errors_name_the_flag(argv, message, tmp_path, capsys):
     # one line naming the flag, not the library function behind it
@@ -537,8 +548,15 @@ def test_domain_errors_name_the_flag(argv, message, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["bounds", "--n", "1", "--k", "1"], ["bounds", "--n", "6"], ["couple", "--n", "8", "--k", "3", "--seed", "-4"]],
-    ids=["bounds-n1-k1", "bounds-n-only", "couple-negative-seed"],
+    [
+        ["bounds", "--n", "1", "--k", "1"],
+        ["bounds", "--n", "6"],
+        ["couple", "--n", "8", "--k", "3", "--seed", "-4"],
+        # only the skipped half-flip and coupling families would reject these
+        ["bounds", "--n", "8", "--eps", "2"],
+        ["bounds", "--n", "7", "--k", "5", "--c", "-1"],
+    ],
+    ids=["bounds-n1-k1", "bounds-n-only", "couple-negative-seed", "bounds-eps-skipped", "bounds-c-skipped"],
 )
 def test_edge_inputs_inside_the_domain_still_run(argv, tmp_path):
     out = tmp_path / "out"

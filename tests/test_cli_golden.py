@@ -10,10 +10,11 @@ versions of the code.
 Every pinned value is exact arithmetic, a float(Fraction) conversion
 (correctly rounded), or the seeded pure-Python Monte Carlo, so the bytes
 do not depend on the platform.  Left out on purpose: the float `tv`
-curve, whose reference profile and l2 terms go through libm lgamma, log
-and exp, and `bounds`, whose step counts go through libm log and exp;
-libm does not guarantee these are correctly rounded, so the last digits
-may differ on another machine.
+curve, whose l2 column goes through libm log and exp (its uniform
+profile is correctly rounded int / int division, but the l2 terms are
+summed in logs), and `bounds`, whose step counts go through libm log and
+exp; libm does not guarantee these are correctly rounded, so the last
+digits may differ on another machine.
 
 To re-record after an intended output change, print
 hashlib.sha256(path.read_bytes()).hexdigest() for each case and say in

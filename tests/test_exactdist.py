@@ -129,6 +129,42 @@ def test_float_uniform_profile_has_unit_mass():
         assert 1.0 - 1e-15 <= tv <= 1.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 400, 401, 1100, 5000])
+def test_float_uniform_profile_is_correctly_rounded(n):
+    # each entry is the exact C(n, s)(m-1)^s / m^n rounded once, including
+    # the entries that underflow to 0.0 above n = 1074
+    row = [math.comb(n, s) for s in range(n + 1)]
+    for m in (2, 3, 5):
+        scale = m**n
+        want = [c * (m - 1) ** s / scale for s, c in enumerate(row)]
+        assert _uniform_weight_float(n, m).tolist() == want, m
+
+
+def test_float_tv_stays_at_most_one_while_the_laws_are_nearly_disjoint():
+    # float evolution keeps mass only to a few ulp, so without the clamp to
+    # 1 the half-l1 sum read 1.0000000000000002 at 405 of these 1500 steps
+    # (x86-64, numpy's pairwise sum)
+    n = 5000
+    kernel = flip_weight_kernel(WalkSpec(n, 3))
+    d = WeightDistribution.delta(n).to_float()
+    for _ in range(1500):
+        assert 1.0 - 1e-12 <= tv_to_uniform(d) <= 1.0
+        d = evolve(d, kernel, 1)
+    heavy = WeightDistribution.from_floats([1.0 + 2.0**-51] + [0.0] * n)
+    assert tv_to_uniform(heavy) == 1.0
+
+
+def test_float_l2_matches_exact_where_the_uniform_profile_underflows():
+    # at n = 1100 the uniform profile's tail is 0.0 in floats, while the
+    # walk started at 0 still carries most of its l2 distance there
+    n = 1100
+    d = evolve(WeightDistribution.delta(n), flip_weight_kernel(WalkSpec(n, 3)), 60)
+    fd = d.to_float()
+    assert ((_uniform_weight_float(n) == 0) & (fd.vec > 0)).any()
+    exact = l2_to_uniform(d)
+    assert l2_to_uniform(fd) == pytest.approx(float(exact), rel=1e-12)
+
+
 def test_float_evolve_matches_exact_random_sweep():
     rng = random.Random(20261018)
     cases = [(400, 7, HALF, [100, 200, 300])]

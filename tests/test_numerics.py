@@ -16,7 +16,6 @@ from cubemix.numerics import (
     binom,
     binom_row,
     cmp_ratio_with_ln2,
-    cmp_with_ln2,
     hypergeom_numerators,
     log_binom,
 )
@@ -82,6 +81,10 @@ def test_ln2_bracket_is_tight_and_ordered():
     assert float(LN2_LO) <= math.log(2) <= float(LN2_HI)
 
 
+def cmp_with_ln2(q: Fraction) -> int:
+    return cmp_ratio_with_ln2(q.numerator, q.denominator)
+
+
 def test_cmp_with_ln2():
     assert cmp_with_ln2(Fraction(693147, 10**6)) == -1
     assert cmp_with_ln2(Fraction(6931472, 10**7)) == 1
@@ -99,7 +102,7 @@ def test_cmp_ratio_with_ln2():
             want = -1 if num / den < math.log(2) else 1
             assert cmp_ratio_with_ln2(num, den) == want, (num, den)
             assert cmp_ratio_with_ln2(3 * num, 3 * den) == want, (num, den)
-    # the bracket ends are inclusive, as in cmp_with_ln2
+    # the bracket ends are inclusive
     lo, hi = LN2_LO, LN2_HI
     assert cmp_ratio_with_ln2(lo.numerator, lo.denominator) == -1
     assert cmp_ratio_with_ln2(2 * hi.numerator, 2 * hi.denominator) == 1

@@ -26,7 +26,7 @@ from cubemix import (
     zmn_l2_upper_bound,
     zmn_spectrum,
 )
-from cubemix.spectrum import _l2_curve, cube_eigen_numerators
+from cubemix.spectrum import _l2_curve, _zmn_multiplicities, cube_eigen_numerators
 
 HALF = Fraction(1, 2)
 
@@ -326,3 +326,9 @@ def test_spec_validation():
         CyclicWalkSpec(0, 3, 1)
     with pytest.raises(ValueError):
         CyclicWalkSpec(4, 3, 5)
+
+
+def test_zmn_multiplicities_are_the_comb_products():
+    for n in range(61):
+        for m in (2, 3, 4, 7):
+            assert _zmn_multiplicities(n, m) == tuple(math.comb(n, w) * (m - 1) ** w for w in range(n + 1))
