@@ -225,15 +225,15 @@ def coupling_weight_kernel(spec: WalkSpec) -> WeightKernel:
     """Exact transition kernel of the mismatch count y, absorbing at 0.
 
     Even y > 0: hold with 1/2, else y -> y - 2a if a <= y/2, no progress
-    otherwise.  Odd y: both hold with 1/4; exactly one chain moves with 1/2
-    (y -> y + k - 2a); both move with 1/4, which composes two non-lazy flip
-    transitions of the mismatch weight.
+    otherwise.  Odd y: the chains step independently, and the mismatch
+    weight takes one lazy flip step per chain, so the row is row y of L^2
+    for L = flip_weight_kernel(spec) (over 2C, so L^2 is over 4C^2).
     """
     _require_coupling_spec(spec, "coupling_weight_kernel")
     n, k = spec.n, spec.k
     C = math.comb(n, k)
     den = 4 * C * C
-    flip = flip_weight_kernel(WalkSpec(n, k, 0)).rows  # non-lazy, over C
+    lazy = flip_weight_kernel(spec).rows
     rows: list[dict[int, int]] = []
     for y in range(n + 1):
         row: dict[int, int] = {}
@@ -245,10 +245,8 @@ def coupling_weight_kernel(spec: WalkSpec) -> WeightKernel:
                 t = y - 2 * a if 2 * a <= y else y
                 row[t] = row.get(t, 0) + 2 * C * c
         else:
-            row[y] = C * C
-            for y1, c1 in flip[y].items():
-                row[y1] = row.get(y1, 0) + 2 * C * c1
-                for t, c2 in flip[y1].items():
+            for y1, c1 in lazy[y].items():
+                for t, c2 in lazy[y1].items():
                     row[t] = row.get(t, 0) + c1 * c2
         rows.append(row)
     return WeightKernel(n, rows=rows, den=den)

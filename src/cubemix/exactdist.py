@@ -7,13 +7,14 @@ current support in i places moves to w + k - 2i with hypergeometric
 probability.  The (Z/mZ)^n walk lumps onto its support size the same way
 (support_weight_kernel); the cube is m = 2, where support size is weight.
 Both walks share one idiom: a kernel, a point start stepped by evolve(),
-and one reduction, tv_to_uniform(dist, m), against the uniform profile
-C(n,s)(m-1)^s / m^n.  The same lumping carries the coupling analysis and
-the cyclic walk's touched-coordinate chain, which gives separation_tail.
-Every lumped chain is a pick law: i of the k picks land in the current set
-(hypergeometric) and the size moves by an amount linear in i (flip k - 2i,
-touched k - i, support b - i); _pick_kernel builds all three, and the
-coupling kernel composes flip rows.
+and two reductions, tv_to_uniform(dist, m) and l2_to_uniform(dist, m),
+against the uniform profile C(n,s)(m-1)^s / m^n.  The same lumping
+carries the coupling analysis and the cyclic walk's touched-coordinate
+chain, which gives separation_tail.  Every lumped chain is a pick law:
+i of the k picks land in the current set (hypergeometric) and the size
+moves by an amount linear in i (flip k - 2i, touched k - i, support
+b - i); _pick_kernel builds all three, and the coupling kernel composes
+the lazy flip kernel's rows.
 
 Every kernel is integer numerators over one denominator, and so is
 every exact distance: each reduction sums integers and builds a single
@@ -23,15 +24,14 @@ evolution keeps plain int lists over (step_denominator)^l, avoiding the
 per-addition gcd work of Fractions; float evolution, for walks beyond
 EXACT_BACKEND_MAX_N, uses the same diagonals divided out once into
 correctly rounded float64 arrays, so mass is kept to rounding.  Both
-backends reduce against one exact table per (n, m), the support-size
-counts C(n,s)(m-1)^s of spectrum._zmn_multiplicities.  The float
-reductions are numpy array expressions, with no per-weight Python loop,
-against cached float64 tables taken from it entry by entry: the uniform
-profile, each entry one correctly rounded int / int division by m^n, and
-for l2 its logs (math.log of each integer), which stay finite where the
-profile's tail underflows.  Only the float paths (float distributions,
-evolution and reductions, full_transition_matrix) import numpy, so exact
-work never loads it.
+backends reduce against the one exact table per (n, m), the support-size
+counts C(n,s)(m-1)^s of spectrum._zmn_multiplicities, whose other forms
+spectrum also keeps, so this module builds no table: exact l2 reads its
+cofactors, float TV its correctly rounded profile and float l2 its logs,
+which stay finite where the profile's tail underflows.  The float
+reductions are numpy array expressions, with no per-weight Python loop.
+Only the float paths (float distributions, evolution and reductions,
+full_transition_matrix) import numpy, so exact work never loads it.
 
 brute_force_dist evolves the full 2^n-state distribution without any
 lumping assumption and exists to certify the lumped chain against direct
@@ -42,7 +42,6 @@ n <= 14 regime tractable at fifty steps.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +53,9 @@ from .numerics import EXACT_BACKEND_MAX_N, binom_row, hypergeom_numerators, sum_
 from .spectrum import (
     CyclicWalkSpec,
     WalkSpec,
+    _cofactors,
     _log_multiplicities,
+    _uniform_weight_float,
     _zmn_multiplicities,
     cube_eigen_numerators,
 )
@@ -89,8 +90,11 @@ class WeightDistribution:
             v = np.asarray(vec, dtype=float)
             if v.shape != (n + 1,):
                 raise ValueError(f"expected shape ({n + 1},), got {v.shape}")
-            if abs(float(v.sum()) - 1.0) > 1e-9:
+            # written so that a nan or inf sum fails too; -0.0 passes the sign test
+            if not abs(float(v.sum()) - 1.0) <= 1e-9:
                 raise ValueError("float WeightDistribution does not sum to 1")
+            if v.min() < 0:
+                raise ValueError("negative mass in WeightDistribution")
             self.exact = False
             self.nums = None
             self.den = None
@@ -252,30 +256,6 @@ def evolve(dist: WeightDistribution, kernel: WeightKernel, steps: int) -> Weight
     return WeightDistribution(dist.n, vec=vec)
 
 
-@functools.lru_cache(maxsize=8)
-def _binom_cofactors(n: int) -> tuple[int, tuple[int, ...]]:
-    """(L, [L // C(n, w)]) with L = lcm of the row: 1/C(n, w) over one denominator."""
-    row = _zmn_multiplicities(n, 2)
-    L = math.lcm(*row)
-    return L, tuple(L // c for c in row)
-
-
-@functools.lru_cache(maxsize=8)
-def _uniform_weight_float(n: int, m: int = 2) -> np.ndarray:
-    """C(n, s) (m-1)^s / m^n for s = 0..n, each entry one correctly rounded int / int.
-
-    A read-only float64 array, since every float TV of the curve reads it.
-    Each entry is within half an ulp of the exact value (0.0 once it
-    underflows), so the mass is 1 to within about 2^-53.
-    """
-    import numpy as np
-
-    scale = m**n
-    out = np.array([c / scale for c in _zmn_multiplicities(n, m)])
-    out.flags.writeable = False
-    return out
-
-
 def tv_to_uniform(dist: WeightDistribution, m: int = 2):
     """TV distance between the lifted support-size law and uniform on (Z/mZ)^n.
 
@@ -296,22 +276,26 @@ def tv_to_uniform(dist: WeightDistribution, m: int = 2):
     return min(0.5 * float(abs(dist.vec - _uniform_weight_float(n, m)).sum()), 1.0)
 
 
-def l2_to_uniform(dist: WeightDistribution):
-    """Chi-square distance |G| sum (P(x) - 1/|G|)^2 of the lifted law.
+def l2_to_uniform(dist: WeightDistribution, m: int = 2):
+    """Chi-square distance between the lifted support-size law and uniform on (Z/mZ)^n.
 
-    The float value is inf only when the sum itself is beyond float range.
+    With the lift of tv_to_uniform (the cube is m = 2), m^n sum_x (P(x) -
+    m^-n)^2 reduces to m^n sum_s dist(s)^2 / (C(n,s)(m-1)^s) - 1.  From a
+    point start it is the spectral sum of l2_upper_bound or
+    zmn_l2_upper_bound.  The float value is inf only when the sum itself is
+    beyond float range.
     """
     n = dist.n
     if dist.exact:
-        L, cof = _binom_cofactors(n)
+        L, cof = _cofactors(n, m)
         d2 = dist.den * dist.den
         s = sum(v * v * c for v, c in zip(dist.nums, cof))
-        return Fraction((s << n) - L * d2, L * d2)
+        return Fraction(s * m**n - L * d2, L * d2)
     import numpy as np
 
-    # ln (P(w)^2 2^n / C(n, w)) over the weights carrying mass
+    # ln (P(s)^2 m^n / (C(n,s)(m-1)^s)) over the sizes carrying mass
     live = dist.vec != 0
-    logs = 2 * np.log(np.abs(dist.vec[live])) + n * math.log(2.0) - _log_multiplicities(n, 2)[live]
+    logs = 2 * np.log(np.abs(dist.vec[live])) + n * math.log(m) - _log_multiplicities(n, m)[live]
     return sum_exp(logs) - 1.0
 
 
@@ -441,7 +425,7 @@ def spectral_dist(spec: WalkSpec, l: int) -> WeightDistribution:
     eig_nums, eig_den = cube_eigen_numerators(spec)
     kap = kraw_integer_table(n)
     pw = [e**l for e in eig_nums]
-    mult = binom_row(n)
+    mult = _zmn_multiplicities(n, 2)
     nums = []
     for w in range(n + 1):
         s = 0

@@ -13,17 +13,21 @@ denominator with integer multiplicities, and _levels is the one function
 that tells the walks apart: the spectra, the l2 bounds and the l2 curve
 all read their levels from it.  The multiplicities are one cached exact
 table per (n, m), _zmn_multiplicities (the cube is m = 2), which is also
-the uniform profile that exactdist reduces against.  _l2_curve yields the
-l2 sum for l = start, start + 1, ...: exactly, by carrying each term's
-power forward, one multiplication by a small squared numerator per term
-and step; or in floats, as one numpy log-space sum per l over the
-per-level log arrays (_log_levels).  A per-l bound is the first value of
+the uniform law's support-size profile that exactdist reduces against.
+Its other forms are derived here from the same integers: _cofactors (each
+1/c over one lcm, for exact l2), _uniform_weight_float (each c / m^n,
+correctly rounded, for float TV) and _log_multiplicities (math.log of each
+c, for float l2 and the float curve).  _l2_curve yields the l2 sum for
+l = start, start + 1, ...: exactly, by carrying each term's power forward,
+one multiplication by a small squared numerator per term and step; or in
+floats, as one numpy log-space sum per l over the per-level log arrays
+(_log_levels).  A per-l bound is the first value of
 the curve started at l, so bound and curve share one body per backend.
 From a point start it is the chi-square curve, so the CLI's tv curves of
 both walks and both backends read their l2 column from it.  Exact
 rational spectra are the default up to EXACT_BACKEND_MAX_N coordinates;
 beyond that, per-l bounds switch to the float sum.  numpy is imported
-only by the float sums.
+only by the float sums and the float tables.
 """
 
 from __future__ import annotations
@@ -127,6 +131,30 @@ def _zmn_multiplicities(n: int, m: int) -> tuple[int, ...]:
     for w in range(n):
         row.append(row[-1] * ((n - w) * (m - 1)) // (w + 1))
     return tuple(row)
+
+
+@functools.lru_cache(maxsize=8)
+def _cofactors(n: int, m: int) -> tuple[int, tuple[int, ...]]:
+    """(L, [L // c]) with L the lcm of _zmn_multiplicities(n, m): each 1/c over one denominator."""
+    row = _zmn_multiplicities(n, m)
+    L = math.lcm(*row)
+    return L, tuple(L // c for c in row)
+
+
+@functools.lru_cache(maxsize=8)
+def _uniform_weight_float(n: int, m: int = 2):
+    """C(n, s) (m-1)^s / m^n for s = 0..n, each entry one correctly rounded int / int.
+
+    A read-only float64 array, since every float TV of the curve reads it.
+    Each entry is within half an ulp of the exact value (0.0 once it
+    underflows), so the mass is 1 to within about 2^-53.
+    """
+    import numpy as np
+
+    scale = m**n
+    out = np.array([c / scale for c in _zmn_multiplicities(n, m)])
+    out.flags.writeable = False
+    return out
 
 
 @functools.lru_cache(maxsize=8)

@@ -1,6 +1,7 @@
-"""Smoke test: every demo script runs to completion against the package."""
+"""Smoke test: every demo script and README example runs against the package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +10,25 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)
+
+
+def _run(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    proc = _run([str(demo)])
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("block", README_BLOCKS, ids=[f"block-{i}" for i in range(len(README_BLOCKS))])
+def test_readme_example_runs(block):
+    proc = _run(["-c", block])
     assert proc.returncode == 0, proc.stderr

@@ -2,12 +2,17 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cubemix
 from cubemix import (
     EXACT_BACKEND_MAX_N,
     CyclicWalkSpec,
@@ -61,6 +66,21 @@ def test_weight_distribution_validation():
         WeightDistribution(2, nums=[1, 1], den=2)
     with pytest.raises(ValueError):
         WeightDistribution.from_floats([0.5, 0.4])
+
+
+@pytest.mark.parametrize(
+    "vec",
+    [[math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], [-0.5, 1.5], [0.5, 0.75, -0.25]],
+    ids=["nan", "inf", "negative", "negative-tail"],
+)
+def test_float_distribution_rejects_nan_inf_and_negative_mass(vec):
+    with pytest.raises(ValueError) as err:
+        WeightDistribution.from_floats(vec)
+    assert len(str(err.value).splitlines()) == 1
+
+
+def test_float_distribution_accepts_negative_zero():
+    assert tv_to_uniform(WeightDistribution.from_floats([-0.0, 1.0])) == 0.5
 
 
 def test_flip_kernel_frozen_tiny_case():
@@ -475,6 +495,25 @@ def test_l2_to_uniform_matches_fraction_oracle_off_point_starts():
             for _ in range(4):
                 assert l2_to_uniform(dist) == _fraction_l2_to_uniform(dist), n
                 dist = evolve(dist, kern, 1)
+
+
+def test_exact_cyclic_reductions_do_not_load_numpy():
+    # exact tv and l2 on (Z/3Z)^n run on ints and Fractions alone
+    script = (
+        "import sys\n"
+        "from cubemix import CyclicWalkSpec, WeightDistribution, evolve, l2_to_uniform\n"
+        "from cubemix import support_weight_kernel, tv_to_uniform, zmn_l2_upper_bound\n"
+        "cspec = CyclicWalkSpec(8, 3, 2)\n"
+        "dist = evolve(WeightDistribution.delta(8), support_weight_kernel(cspec), 10)\n"
+        "tv_to_uniform(dist, 3)\n"
+        "assert l2_to_uniform(dist, 3) == zmn_l2_upper_bound(cspec, 10)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(cubemix.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_zmn_exact_tv_matches_fraction_oracle():

@@ -21,12 +21,18 @@ from cubemix import (
     l2_to_uniform,
     l2_upper_bound,
     spectral_dist,
+    support_weight_kernel,
     verify_eigenvalue_three_quarters,
     zmn_eigenvalue,
     zmn_l2_upper_bound,
     zmn_spectrum,
 )
-from cubemix.spectrum import _l2_curve, _zmn_multiplicities, cube_eigen_numerators
+from cubemix.spectrum import (
+    _l2_curve,
+    _uniform_weight_float,
+    _zmn_multiplicities,
+    cube_eigen_numerators,
+)
 
 HALF = Fraction(1, 2)
 
@@ -148,7 +154,30 @@ def test_l2_curve_is_chi_square_of_point_start():
                     dist = evolve(dist, kernel, 1)
                 assert next(curve) == l2_to_uniform(dist), (n, k, p, l)
                 checks += 1
-    assert checks == 27084
+    # the cyclic walk's support-size profile, reduced on (Z/mZ)^n
+    for n in range(1, 13):
+        for m in (3, 5):
+            for k in range(1, n + 1):
+                cspec = CyclicWalkSpec(n, m, k)
+                kernel = support_weight_kernel(cspec)
+                dist = WeightDistribution.delta(n)
+                curve = _l2_curve(cspec)
+                for l in range(8):
+                    if l:
+                        dist = evolve(dist, kernel, 1)
+                    assert next(curve) == l2_to_uniform(dist, m), (n, m, k, l)
+                    checks += 1
+    assert checks == 27084 + 1248
+
+
+def test_float_cyclic_l2_to_uniform_matches_exact_sum_where_the_profile_underflows():
+    # at n = 1100 the tail of C(n,s) 2^s / 3^n is 0.0 in floats; the float
+    # reduction works in logs, so it still meets the exact spectral sum
+    cspec = CyclicWalkSpec(1100, 3, 25)
+    dist = evolve(WeightDistribution.delta(1100).to_float(), support_weight_kernel(cspec), 40)
+    assert ((_uniform_weight_float(1100, 3) == 0) & (dist.vec > 0)).any()
+    want = zmn_l2_upper_bound(cspec, 40, exact=True)
+    assert l2_to_uniform(dist, 3) == pytest.approx(float(want), rel=1e-12)
 
 
 def test_l2_curve_matches_per_l_bounds():
