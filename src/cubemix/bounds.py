@@ -103,7 +103,8 @@ def coupling_upper_bound_steps(n: int, k: int, c: float, variant: str = "stated"
         params={"n": n, "k": k, "c": c},
         raw_steps=raw,
         steps=steps,
-        bound=1.0 / (c * c),
+        # c * c underflows to 0.0 for c below about 1.6e-162: the bound is vacuous
+        bound=1.0 / (c * c) if c * c else math.inf,
         bound_metric="tv <= bound",
         notes=tuple(notes),
     )
@@ -205,7 +206,8 @@ def chebyshev_lower_bound(n: int, k: int, l: int, alpha: float | None = None) ->
     Uses the exact moments of the level-one statistic; a defaults to mean/2.
     The uniform measure puts mass >= 1 - 1/a^2 on {|f| <= a} while the walk
     puts mass < var/(mean - a)^2 there, so the gap lower-bounds TV.  Returns
-    0.0 (vacuous) when a >= mean or a <= 0.
+    0.0 (vacuous) when a >= mean or a <= 0, or when a^2 or (mean - a)^2
+    underflows to 0.0.
     """
     moments = weight_statistic_moments(n, k, l)
     mean = moments.mean
@@ -213,7 +215,12 @@ def chebyshev_lower_bound(n: int, k: int, l: int, alpha: float | None = None) ->
         alpha = mean / 2
     if alpha <= 0 or alpha >= mean:
         return 0.0
-    val = 1.0 - 1.0 / (alpha * alpha) - moments.variance / ((mean - alpha) ** 2)
+    alpha_sq, gap_sq = alpha * alpha, (mean - alpha) ** 2
+    if not (alpha_sq and gap_sq):
+        # a square underflowed to 0.0: its reciprocal term is beyond float
+        # range, so the bound is vacuous
+        return 0.0
+    val = 1.0 - 1.0 / alpha_sq - moments.variance / gap_sq
     return max(0.0, val)
 
 

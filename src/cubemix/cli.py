@@ -33,34 +33,6 @@ import sys
 import tempfile
 from fractions import Fraction
 
-from . import bounds as bounds_mod
-from .coupling import (
-    MARGINAL_CHECK_MAX_N,
-    coupling_tail_curve,
-    marginal_check,
-    simulate_coupling,
-    verify_half_flip_pick_bounds,
-    verify_pick_fraction_bounds,
-)
-from .exactdist import (
-    WeightDistribution,
-    evolve,
-    flip_weight_kernel,
-    separation_tail,
-    support_weight_kernel,
-    touched_weight_kernel,
-    tv_to_uniform,
-)
-from .krawtchouk import verify_symmetry_sweep
-from .numerics import EXACT_BACKEND_MAX_N
-from .spectrum import (
-    CyclicWalkSpec,
-    WalkSpec,
-    _l2_curve,
-    _spectrum,
-    verify_eigenvalue_three_quarters,
-)
-
 OUTPUT_DIR_ENV = "CUBEMIX_OUTPUT_DIR"
 
 
@@ -149,6 +121,8 @@ def _emit(args, default_stem: str, payload: dict, rows: list[dict] | None = None
 
 
 def _use_exact(backend: str, n: int) -> bool:
+    from .numerics import EXACT_BACKEND_MAX_N
+
     return backend == "exact" or (backend == "auto" and n <= EXACT_BACKEND_MAX_N)
 
 
@@ -158,6 +132,8 @@ def _use_exact(backend: str, n: int) -> bool:
 
 def _walk(args):
     """(spec, header) of the walk the flags name: the cyclic walk with --m, else the cube."""
+    from .spectrum import CyclicWalkSpec, WalkSpec
+
     n = _need(args, "n", *_POSITIVE)
     k = _need(args, "k", *_in_range(n))
     if args.m is None:
@@ -171,6 +147,8 @@ def _walk(args):
 
 
 def _cmd_spectrum(args) -> int:
+    from .spectrum import _spectrum
+
     exact = _use_exact(args.backend, args.n)
     spec, walk = _walk(args)
     table = _spectrum(spec)
@@ -194,6 +172,17 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_tv(args) -> int:
+    from .exactdist import (
+        WeightDistribution,
+        evolve,
+        flip_weight_kernel,
+        separation_tail,
+        support_weight_kernel,
+        touched_weight_kernel,
+        tv_to_uniform,
+    )
+    from .spectrum import _l2_curve
+
     if args.steps < 0:
         raise ValueError(f"tv requires --steps >= 0, got --steps={args.steps}")
     # each walk supplies its kernels, each stepping one point start once per
@@ -237,6 +226,15 @@ def _cmd_tv(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import (
+        comparison_step_bound,
+        coupling_upper_bound_steps,
+        cyclic_step_bound,
+        half_flip_step_bound,
+        reported_steps_comparison,
+        second_moment_lower_bound,
+    )
+
     n = _need(args, "n", *_POSITIVE)
     if args.k is not None:
         _need(args, "k", *_in_range(n))
@@ -256,7 +254,7 @@ def _cmd_bounds(args) -> int:
             _need(args, "c", lambda c: c > 0, "a number > 0 for the coupling bound")
         for variant in ("stated", "summary"):
             reports.append(
-                _sanitize(bounds_mod.coupling_upper_bound_steps(n, args.k, c_upper, variant))
+                _sanitize(coupling_upper_bound_steps(n, args.k, c_upper, variant))
             )
     else:
         skipped("coupling-upper", "requires --k with k <= n/2")
@@ -264,7 +262,7 @@ def _cmd_bounds(args) -> int:
     if args.eps is not None:
         if n % 4 == 2:
             _need(args, "eps", lambda e: 0 < e < 1, "a number in (0, 1)")
-            reports.append(_sanitize(bounds_mod.half_flip_step_bound(n, args.eps)))
+            reports.append(_sanitize(half_flip_step_bound(n, args.eps)))
         else:
             skipped("half-flip", "requires n = 2 mod 4")
     else:
@@ -273,7 +271,7 @@ def _cmd_bounds(args) -> int:
     if args.k is not None:
         c_low = args.c if c_given else min(1.0, math.log(n) / 4)
         if 0 < c_low <= math.log(n) / 4:
-            reports.append(_sanitize(bounds_mod.second_moment_lower_bound(n, args.k, c_low)))
+            reports.append(_sanitize(second_moment_lower_bound(n, args.k, c_low)))
         else:
             skipped("second-moment-lower", f"c={c_low:g} outside (0, ln(n)/4]")
     else:
@@ -284,19 +282,19 @@ def _cmd_bounds(args) -> int:
             _need(args, "c", lambda c: c >= 0, "a number >= 0 for the cyclic and comparison bounds")
         c_cyc = args.c if c_given else 1.0
         if args.k is not None:
-            reports.append(_sanitize(bounds_mod.cyclic_step_bound(n, args.m, args.k, c_cyc)))
+            reports.append(_sanitize(cyclic_step_bound(n, args.m, args.k, c_cyc)))
         else:
             skipped("cyclic", "requires --k")
         for variant in ("stated", "conservative"):
             reports.append(
-                _sanitize(bounds_mod.comparison_step_bound(n, args.m, c_cyc, variant))
+                _sanitize(comparison_step_bound(n, args.m, c_cyc, variant))
             )
     else:
         skipped("cyclic", "requires --m")
         skipped("comparison", "requires --m")
 
     table = [
-        dataclasses.asdict(row) for row in bounds_mod.reported_steps_comparison()
+        dataclasses.asdict(row) for row in reported_steps_comparison()
     ]
     payload = {
         "params": {
@@ -340,6 +338,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_couple(args) -> int:
+    from .coupling import coupling_tail_curve, simulate_coupling
+
     spec, walk = _walk(args)
     _need(args, "k", lambda k: k % 2 == 1, "an odd integer")
     _need(args, "trials", *_POSITIVE)
@@ -392,13 +392,15 @@ def _in_range(top: int):
     return lambda v: 1 <= v <= top, f"an integer in 1..{top}"
 
 
-def _marginal_certificate(args):
-    top = MARGINAL_CHECK_MAX_N
-    n = _need(args, "n", *_in_range(top))
-    return marginal_check(n, _need(args, "k", *_in_range(n)))
+def _probineq_certificate(args):
+    from .coupling import verify_half_flip_pick_bounds
+
+    return verify_half_flip_pick_bounds(_need(args, "n", *_TWO_MOD_FOUR))
 
 
 def _general_certificate(args):
+    from .coupling import verify_pick_fraction_bounds
+
     _need(args, "n-max", lambda n: n >= 2, "an integer >= 2")
     if not args.parts:
         return verify_pick_fraction_bounds(args.n_max)
@@ -411,22 +413,35 @@ def _general_certificate(args):
     return verify_pick_fraction_bounds(args.n_max, parts)
 
 
+def _eig34_certificate(args):
+    from .spectrum import verify_eigenvalue_three_quarters
+
+    return verify_eigenvalue_three_quarters(_need(args, "n", *_TWO_MOD_FOUR))
+
+
+def _marginal_certificate(args):
+    from .coupling import MARGINAL_CHECK_MAX_N, marginal_check
+
+    n = _need(args, "n", *_in_range(MARGINAL_CHECK_MAX_N))
+    return marginal_check(n, _need(args, "k", *_in_range(n)))
+
+
+def _symmetry_certificate(args):
+    from .krawtchouk import verify_symmetry_sweep
+
+    return verify_symmetry_sweep(_need(args, "n", *_EVEN))
+
+
 # lemma -> (certificate builder, predicate that the certificate holds)
 _LEMMAS = {
-    "probineq": (
-        lambda args: verify_half_flip_pick_bounds(_need(args, "n", *_TWO_MOD_FOUR)),
-        lambda cert: not cert.has_violations,
-    ),
+    "probineq": (_probineq_certificate, lambda cert: not cert.has_violations),
     "general": (_general_certificate, lambda cert: not cert.has_violations),
     "eig34": (
-        lambda args: verify_eigenvalue_three_quarters(_need(args, "n", *_TWO_MOD_FOUR)),
+        _eig34_certificate,
         lambda cert: cert.bound_holds and cert.odd_levels_equal_p and cert.closed_form_matches,
     ),
     "marginal": (_marginal_certificate, lambda cert: cert.ok),
-    "symmetry": (
-        lambda args: verify_symmetry_sweep(_need(args, "n", *_EVEN)),
-        lambda cert: cert["ok"],
-    ),
+    "symmetry": (_symmetry_certificate, lambda cert: cert["ok"]),
 }
 
 

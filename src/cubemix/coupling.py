@@ -30,7 +30,6 @@ report every counterexample they find rather than hiding it.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass, field
@@ -348,11 +347,6 @@ class CouplingTailReport:
         return sum(self.survivors) / self.trials
 
 
-def _trial_rng(seed: int, trial: int) -> random.Random:
-    digest = hashlib.sha256(f"cubemix-couple:{seed}:{trial}".encode()).digest()
-    return random.Random(int.from_bytes(digest, "big"))
-
-
 def simulate_coupling(spec: WalkSpec, trials: int, max_steps: int, seed: int) -> CouplingTailReport:
     """Monte Carlo of the coupled moves on the mismatch mask m = x1 ^ x2.
 
@@ -363,6 +357,8 @@ def simulate_coupling(spec: WalkSpec, trials: int, max_steps: int, seed: int) ->
     coupled_step's, in its order: odd y XORs each moving chain's subset into
     m, even y clears the repaired bits, and y is kept as a running count.
     """
+    from hashlib import sha256
+
     _require_coupling_spec(spec, "simulate_coupling")
     if trials < 1 or max_steps < 0:
         raise ValueError(f"simulate_coupling needs trials >= 1, max_steps >= 0")
@@ -374,7 +370,8 @@ def simulate_coupling(spec: WalkSpec, trials: int, max_steps: int, seed: int) ->
     picks = range(k)
     ends = [0] * (max_steps + 2)  # ends[T] += 1; T = max_steps + 1 if censored
     for trial in range(trials):
-        getrandbits = _trial_rng(seed, trial).getrandbits
+        digest = sha256(f"cubemix-couple:{seed}:{trial}".encode()).digest()
+        getrandbits = random.Random(int.from_bytes(digest, "big")).getrandbits
         m = getrandbits(n)
         y = m.bit_count()
         t = 0

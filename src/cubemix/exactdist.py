@@ -112,12 +112,6 @@ class WeightDistribution:
         return cls(n, nums=list(_zmn_multiplicities(n, 2)), den=1 << n)
 
     @classmethod
-    def from_fractions(cls, probs) -> "WeightDistribution":
-        probs = [Fraction(p) for p in probs]
-        den = math.lcm(*(p.denominator for p in probs))
-        return cls(len(probs) - 1, nums=[p.numerator * (den // p.denominator) for p in probs], den=den)
-
-    @classmethod
     def from_floats(cls, vec) -> "WeightDistribution":
         return cls(len(vec) - 1, vec=vec)
 
@@ -164,9 +158,6 @@ class WeightKernel:
         self.rows = rows
         self.den = den
         self._diagonals = {}
-
-    def row_fractions(self, w: int) -> dict[int, Fraction]:
-        return {t: Fraction(c, self.den) for t, c in self.rows[w].items()}
 
     def diagonals(self, exact: bool) -> list[tuple[int, int, int, list[int] | np.ndarray]]:
         """[(d, lo, hi, c)] with c[w - lo] = rows[w][w + d], one per offset d.

@@ -37,15 +37,6 @@ LN2_LO = Fraction(69314718055994530941723212145817656807, 10**38)
 LN2_HI = Fraction(69314718055994530941723212145817656809, 10**38)
 
 
-def binom(n: int, k: int) -> int:
-    """C(n, k) as an exact integer; 0 outside 0 <= k <= n."""
-    if n < 0:
-        raise ValueError(f"binom requires n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 @lru_cache(maxsize=1024)
 def binom_row(n: int) -> tuple[int, ...]:
     """The full row (C(n,0), ..., C(n,n)), cached for scan-heavy loops.

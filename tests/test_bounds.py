@@ -90,6 +90,8 @@ def test_coupling_upper_bound_table_note_and_domain():
         coupling_upper_bound_steps(54, 27, 0.0)
     with pytest.raises(ValueError):
         coupling_upper_bound_steps(54, 27, 1.0, variant="folk")
+    # c * c underflows to 0.0: TV <= inf
+    assert coupling_upper_bound_steps(4, 1, 1e-170).bound == math.inf
 
 
 @pytest.mark.parametrize(
@@ -225,8 +227,8 @@ def test_weight_eigenfunctions_are_kernel_eigenvectors():
         for j in range(3):
             for w in range(n + 1):
                 image = sum(
-                    c * weight_eigenfunction(n, j, t)
-                    for t, c in kern.row_fractions(w).items()
+                    Fraction(c, kern.den) * weight_eigenfunction(n, j, t)
+                    for t, c in kern.rows[w].items()
                 )
                 assert image == lam[j] * weight_eigenfunction(n, j, w)
 
@@ -236,6 +238,9 @@ def test_chebyshev_lower_bound_frozen_and_vacuous():
     assert chebyshev_lower_bound(10, 1, 1, alpha=100.0) == 0.0
     assert chebyshev_lower_bound(10, 1, 1, alpha=-1.0) == 0.0
     assert chebyshev_lower_bound(10, 1, 500) == 0.0
+    # the mean is subnormal, so alpha^2 underflows to 0.0
+    assert chebyshev_lower_bound(4, 1, 1296) == 0.0
+    assert chebyshev_lower_bound(4, 1, 1297) == 0.0
 
 
 def test_chebyshev_lower_bound_below_exact_tv():

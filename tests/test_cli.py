@@ -555,8 +555,11 @@ def test_domain_errors_name_the_flag(argv, message, tmp_path, capsys):
         # only the skipped half-flip and coupling families would reject these
         ["bounds", "--n", "8", "--eps", "2"],
         ["bounds", "--n", "7", "--k", "5", "--c", "-1"],
+        # c * c underflows to 0.0: the coupling bound reads inf
+        ["bounds", "--n", "4", "--k", "1", "--c", "1e-170"],
     ],
-    ids=["bounds-n1-k1", "bounds-n-only", "couple-negative-seed", "bounds-eps-skipped", "bounds-c-skipped"],
+    ids=["bounds-n1-k1", "bounds-n-only", "couple-negative-seed", "bounds-eps-skipped", "bounds-c-skipped",
+         "bounds-c-square-underflows"],
 )
 def test_edge_inputs_inside_the_domain_still_run(argv, tmp_path):
     out = tmp_path / "out"
@@ -583,27 +586,51 @@ _NUMPY_FREE = {
     "bounds": ["bounds", "--n", "54", "--k", "27", "--eps", "0.01"],
     "verify-general": ["verify", "--lemma", "general", "--n-max", "12"],
     "couple": ["couple", "--n", "8", "--k", "3", "--trials", "50", "--steps", "10"],
+    "verify-eig34": ["verify", "--lemma", "eig34", "--n", "6"],
+}
+
+# the cubemix modules each command must not load: it runs none of their code
+_NOT_LOADED = {
+    "tv-cube": {"coupling", "bounds"},
+    "tv-cyclic": {"coupling", "bounds"},
+    "spectrum": {"exactdist", "coupling", "bounds"},
+    "bounds": {"coupling", "exactdist"},
+    "verify-general": {"bounds"},
+    "couple": {"bounds"},
+    "verify-eig34": {"coupling", "bounds"},
 }
 
 
-def _loads_numpy(argv, output):
+def _fresh_run(argv, output):
+    """(numpy loaded?, the cubemix submodules loaded) after one CLI run in a fresh interpreter."""
     script = (
         "import sys\n"
         "from cubemix.cli import main\n"
         f"code = main({argv + ['--output', str(output)]!r})\n"
-        "print(code, 'numpy' in sys.modules)\n"
+        "print(code, 'numpy' in sys.modules, *(m for m in sys.modules if m.startswith('cubemix.')))\n"
     )
     src = str(Path(cubemix.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    code, loaded = proc.stdout.splitlines()[-1].split()
+    code, loaded, *modules = proc.stdout.splitlines()[-1].split()
     assert code in ("0", "2"), proc.stdout
-    return loaded == "True"
+    return loaded == "True", {m.removeprefix("cubemix.") for m in modules}
+
+
+def _loads_numpy(argv, output):
+    return _fresh_run(argv, output)[0]
 
 
 @pytest.mark.parametrize("argv", _NUMPY_FREE.values(), ids=_NUMPY_FREE)
 def test_exact_and_monte_carlo_commands_do_not_load_numpy(argv, tmp_path):
     assert not _loads_numpy(argv, tmp_path / "out")
+
+
+@pytest.mark.parametrize("name", _NOT_LOADED)
+def test_each_command_loads_only_the_modules_it_runs(name, tmp_path):
+    _, modules = _fresh_run(_NUMPY_FREE[name], tmp_path / "out")
+    assert "cli" in modules
+    assert not modules & _NOT_LOADED[name]
 
 
 def test_float_backend_loads_numpy(tmp_path):

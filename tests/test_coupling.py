@@ -224,7 +224,7 @@ def test_coupled_step_marginals_and_mismatch_law(x1, x2):
     assert total == 1
     assert m1 == _flip_marginal(n, k, x1)
     assert m2 == _flip_marginal(n, k, x2)
-    assert ylaw == kernel.row_fractions(state.y)
+    assert ylaw == {t: Fraction(c, kernel.den) for t, c in kernel.rows[state.y].items()}
 
 
 def test_marginal_check_small_cases():

@@ -50,7 +50,7 @@ def test_weight_distribution_constructors():
         Fraction(4, 16),
         Fraction(1, 16),
     )
-    f = WeightDistribution.from_fractions([HALF, Fraction(1, 3), Fraction(1, 6)])
+    f = WeightDistribution(2, nums=[3, 2, 1], den=6)
     assert f.prob(1) == Fraction(1, 3)
     fl = WeightDistribution.from_floats([0.25, 0.5, 0.25])
     assert not fl.exact
@@ -89,7 +89,7 @@ def test_flip_kernel_frozen_tiny_case():
     assert kern.rows[0] == {0: 2, 1: 2}
     assert kern.rows[1] == {1: 2, 2: 1, 0: 1}
     assert kern.rows[2] == {2: 2, 1: 2}
-    assert kern.row_fractions(0) == {0: HALF, 1: HALF}
+    assert {t: Fraction(c, kern.den) for t, c in kern.rows[0].items()} == {0: HALF, 1: HALF}
 
 
 def test_flip_kernel_reversible_for_binomial():
@@ -107,7 +107,7 @@ def test_evolve_single_step_is_kernel_row():
     for w in range(6):
         out = evolve(WeightDistribution.delta(5, w), kern, 1)
         assert dict(enumerate(out.probs)) == {
-            t: kern.row_fractions(w).get(t, Fraction(0)) for t in range(6)
+            t: Fraction(kern.rows[w].get(t, 0), kern.den) for t in range(6)
         }
 
 
@@ -357,7 +357,8 @@ def test_kernel_rows_match_enumerated_picks():
                 kernels.append(("support", support_weight_kernel(CyclicWalkSpec(n, m, k)), {"m": m}))
             for walk, kern, params in kernels:
                 for s in range(n + 1):
-                    assert kern.row_fractions(s) == _enumerated_row(n, k, s, walk, **params), (walk, n, k, s, params)
+                    row = {t: Fraction(c, kern.den) for t, c in kern.rows[s].items()}
+                    assert row == _enumerated_row(n, k, s, walk, **params), (walk, n, k, s, params)
 
 
 def _curve(kern, lmax):
@@ -487,7 +488,7 @@ def test_l2_to_uniform_matches_fraction_oracle_off_point_starts():
         weights = [rng.randrange(20) for _ in range(n)] + [1]
         starts = [
             WeightDistribution.binomial(n),
-            WeightDistribution.from_fractions([Fraction(x, sum(weights)) for x in weights]),
+            WeightDistribution(n, nums=weights, den=sum(weights)),
         ]
         spec = WalkSpec(n, rng.randint(1, n), rng.choice([0, Fraction(1, 3), HALF]))
         kern = flip_weight_kernel(spec)

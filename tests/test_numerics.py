@@ -13,29 +13,11 @@ import pytest
 from cubemix.numerics import (
     LN2_HI,
     LN2_LO,
-    binom,
     binom_row,
     cmp_ratio_with_ln2,
     hypergeom_numerators,
     log_binom,
 )
-
-
-def test_binom_matches_math_comb():
-    for n in range(0, 40):
-        for k in range(0, n + 1):
-            assert binom(n, k) == math.comb(n, k)
-
-
-def test_binom_outside_range_is_zero():
-    assert binom(5, 6) == 0
-    assert binom(5, -1) == 0
-    assert binom(0, 0) == 1
-
-
-def test_binom_negative_n_raises():
-    with pytest.raises(ValueError):
-        binom(-1, 0)
 
 
 def test_binom_row_is_full_row():
