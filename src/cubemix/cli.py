@@ -34,6 +34,7 @@ import tempfile
 from fractions import Fraction
 
 OUTPUT_DIR_ENV = "CUBEMIX_OUTPUT_DIR"
+_BLAS_THREADS = "OPENBLAS_NUM_THREADS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -574,6 +575,13 @@ def main(argv=None) -> int:
     saved = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if saved is not None:
         sys.set_int_max_str_digits(0)
+    # numpy's bundled OpenBLAS starts a pool of worker threads when numpy is
+    # imported, and no subcommand calls BLAS, so the pool would only burn
+    # CPU time: one thread unless the user chose a count.  Restored on
+    # return like the digit limit, so in-process callers see no change.
+    blas_default = _BLAS_THREADS not in os.environ
+    if blas_default:
+        os.environ[_BLAS_THREADS] = "1"
     try:
         return args.func(args)
     except ValueError as exc:
@@ -582,6 +590,8 @@ def main(argv=None) -> int:
     finally:
         if saved is not None:
             sys.set_int_max_str_digits(saved)
+        if blas_default:
+            os.environ.pop(_BLAS_THREADS, None)
 
 
 if __name__ == "__main__":

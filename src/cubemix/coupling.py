@@ -36,10 +36,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations
 from operator import mul, sub
+from typing import TYPE_CHECKING
 
-from .exactdist import WeightDistribution, WeightKernel, evolve, flip_weight_kernel
 from .numerics import binom_row, cmp_ratio_with_ln2, hypergeom_numerators
-from .spectrum import WalkSpec
+
+# the exact kernels are imported where they are used, so the verifiers load
+# neither exactdist nor spectrum
+if TYPE_CHECKING:
+    from .exactdist import WeightKernel
+    from .spectrum import WalkSpec
 
 MARGINAL_CHECK_MAX_N = 8
 EXACT_SOLVE_MAX_N = 64
@@ -92,24 +97,29 @@ def _even_x2_flipset(mismask: int, smask: int) -> int:
     return smask ^ _repaired_bits(mismask, smask)
 
 
-def _sample_setsize(k: int) -> int:
-    """random.sample's pool/set switch point for a k-subset draw."""
+def _sample_pool(n: int, k: int) -> list[int] | None:
+    """list(range(n)) where random.sample draws k of n from a shrinking pool, else None.
+
+    None marks sample's other branch, which redraws repeats against a set;
+    the switch point is sample's setsize.
+    """
     setsize = 21
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    return setsize
+    return list(range(n)) if n <= setsize else None
 
 
-def _draw_mask(getrandbits, n: int, k: int, setsize: int) -> int:
+def _draw_mask(getrandbits, n: int, k: int, pool: list[int] | None) -> int:
     """Bit mask of rng.sample(range(n), k), drawn from the same getrandbits calls.
 
-    This is CPython's random.sample with randbelow inlined: below setsize a
+    pool is _sample_pool(n, k), built once per caller and copied per draw.
+    This is CPython's random.sample with randbelow inlined: with a pool, a
     shrinking pool with randbelow(n - i), otherwise randbelow(n) redrawn on
     repeats, each randbelow(m) rejecting getrandbits(m.bit_length()) >= m.
     """
     mask = 0
-    if n <= setsize:
-        pool = list(range(n))
+    if pool is not None:
+        pool = pool[:]
         for m in range(n, n - k, -1):
             nbits = m.bit_length()
             j = getrandbits(nbits)
@@ -138,16 +148,16 @@ def coupled_step(spec: WalkSpec, state: CoupledState, rng: random.Random) -> Cou
     getrandbits calls as rng.sample(range(n), k).
     """
     n, k = spec.n, spec.k
-    setsize = _sample_setsize(k)
+    pool = _sample_pool(n, k)
     getrandbits = rng.getrandbits
     x1, x2 = state.x1, state.x2
     if state.y % 2:
         if not getrandbits(1):
-            x1 ^= _draw_mask(getrandbits, n, k, setsize)
+            x1 ^= _draw_mask(getrandbits, n, k, pool)
         if not getrandbits(1):
-            x2 ^= _draw_mask(getrandbits, n, k, setsize)
+            x2 ^= _draw_mask(getrandbits, n, k, pool)
     elif not getrandbits(1):
-        smask = _draw_mask(getrandbits, n, k, setsize)
+        smask = _draw_mask(getrandbits, n, k, pool)
         x1, x2 = x1 ^ smask, x2 ^ _even_x2_flipset(x1 ^ x2, smask)
     return CoupledState(n, x1, x2)
 
@@ -228,6 +238,8 @@ def coupling_weight_kernel(spec: WalkSpec) -> WeightKernel:
     weight takes one lazy flip step per chain, so the row is row y of L^2
     for L = flip_weight_kernel(spec) (over 2C, so L^2 is over 4C^2).
     """
+    from .exactdist import WeightKernel, flip_weight_kernel
+
     _require_coupling_spec(spec, "coupling_weight_kernel")
     n, k = spec.n, spec.k
     C = math.comb(n, k)
@@ -253,6 +265,8 @@ def coupling_weight_kernel(spec: WalkSpec) -> WeightKernel:
 
 def coupling_tail_curve(spec: WalkSpec, lmax: int) -> list[Fraction]:
     """[P(T > l) for l = 0..lmax], exact, x2 started uniform (y0 binomial)."""
+    from .exactdist import WeightDistribution, evolve
+
     if lmax < 0:
         raise ValueError(f"coupling_tail_curve requires lmax >= 0, got {lmax}")
     kernel = coupling_weight_kernel(spec)
@@ -273,6 +287,8 @@ def expected_coupling_time(spec: WalkSpec, exact: bool | None = None):
     y > 2(n - k)), the binomial start charges them, and E[T] is infinite;
     math.inf is returned in that case.
     """
+    from .exactdist import WeightDistribution
+
     _require_coupling_spec(spec, "expected_coupling_time")
     n = spec.n
     if exact is None:
@@ -363,9 +379,8 @@ def simulate_coupling(spec: WalkSpec, trials: int, max_steps: int, seed: int) ->
     if trials < 1 or max_steps < 0:
         raise ValueError(f"simulate_coupling needs trials >= 1, max_steps >= 0")
     n, k = spec.n, spec.k
-    setsize = _sample_setsize(k)
     # the even-y draw inlines _draw_mask's set branch; the pool branch calls it
-    inline = n > setsize
+    pool = _sample_pool(n, k)
     nbits = n.bit_length()
     picks = range(k)
     ends = [0] * (max_steps + 2)  # ends[T] += 1; T = max_steps + 1 if censored
@@ -380,14 +395,14 @@ def simulate_coupling(spec: WalkSpec, trials: int, max_steps: int, seed: int) ->
             if y & 1:
                 # independent lazy steps: each moving chain's subset lands in m
                 if not getrandbits(1):
-                    m ^= _draw_mask(getrandbits, n, k, setsize)
+                    m ^= _draw_mask(getrandbits, n, k, pool)
                 if not getrandbits(1):
-                    m ^= _draw_mask(getrandbits, n, k, setsize)
+                    m ^= _draw_mask(getrandbits, n, k, pool)
                 y = m.bit_count()
                 continue
             if getrandbits(1):
                 continue
-            if inline:
+            if pool is None:
                 smask = 0
                 for _ in picks:
                     j = getrandbits(nbits)
@@ -395,7 +410,7 @@ def simulate_coupling(spec: WalkSpec, trials: int, max_steps: int, seed: int) ->
                         j = getrandbits(nbits)
                     smask = grown
             else:
-                smask = _draw_mask(getrandbits, n, k, setsize)
+                smask = _draw_mask(getrandbits, n, k, pool)
             # with S & m empty, or 2a > y, both chains flip S and m stays
             if smask & m:
                 repaired = _repaired_bits(m, smask)

@@ -22,8 +22,10 @@ Fraction at the end.  evolve() steps along a kernel's few nonzero
 diagonals (from w the flip walk reaches only w + k - 2i).  Exact
 evolution keeps plain int lists over (step_denominator)^l, avoiding the
 per-addition gcd work of Fractions; float evolution, for walks beyond
-EXACT_BACKEND_MAX_N, uses the same diagonals divided out once into
-correctly rounded float64 arrays, so mass is kept to rounding.  Both
+EXACT_BACKEND_MAX_N, steps the same diagonals in float64, so mass is kept
+to rounding.  A pick-law kernel's float diagonals come from a float64
+table of the pick law (_pick_law_floats), so a float curve forms no big
+integer; any other kernel's are its integers divided out once.  Both
 backends reduce against the one exact table per (n, m), the support-size
 counts C(n,s)(m-1)^s of spectrum._zmn_multiplicities, whose other forms
 spectrum also keeps, so this module builds no table: exact l2 reads its
@@ -138,16 +140,26 @@ class WeightKernel:
 
     rows[w] maps target -> integer numerator, all rows over the single
     denominator den.  A weight chain only moves by a few fixed offsets, so
-    evolve() steps along the kernel's diagonals (see diagonals()).
+    evolve() steps along the kernel's diagonals (see diagonals()).  A
+    pick-law kernel (_pick_kernel) builds rows and den when they are first
+    read, and its float diagonals from the float64 pick-law table, so a
+    float curve makes no big integer.
     """
 
-    __slots__ = ("n", "rows", "den", "_diagonals")
+    __slots__ = ("n", "_rows", "_den", "_pick", "_diagonals")
 
     # Every kernel is exact; the distribution picks the arithmetic.
     exact = True
 
-    def __init__(self, n, *, rows, den):
+    def __init__(self, n, *, rows=None, den=None, pick=None):
         self.n = n
+        self._rows = self._den = None
+        self._pick = pick
+        self._diagonals = {}
+        if pick is None:
+            self._set_rows(rows, den)
+
+    def _set_rows(self, rows, den):
         if den <= 0:
             raise ValueError("WeightKernel needs a positive denominator")
         for w, row in enumerate(rows):
@@ -155,40 +167,63 @@ class WeightKernel:
                 raise ValueError(f"kernel row {w} does not sum to 1")
             if any(c < 0 for c in row.values()):
                 raise ValueError(f"negative entry in kernel row {w}")
-        self.rows = rows
-        self.den = den
-        self._diagonals = {}
+        self._rows, self._den = rows, den
+
+    def _exact(self) -> tuple[list[dict[int, int]], int]:
+        if self._rows is None:
+            self._set_rows(*_pick_rows(self.n, *self._pick))
+        return self._rows, self._den
+
+    @property
+    def rows(self) -> list[dict[int, int]]:
+        return self._exact()[0]
+
+    @property
+    def den(self) -> int:
+        return self._exact()[1]
 
     def diagonals(self, exact: bool) -> list[tuple[int, int, int, list[int] | np.ndarray]]:
         """[(d, lo, hi, c)] with c[w - lo] = rows[w][w + d], one per offset d.
 
         exact=True gives the integer numerators as a list of ints,
-        exact=False the float64 probabilities c / den as a numpy array.
-        Cached: curves step one call at a time.
+        exact=False the float64 probabilities c / den as a numpy array (a
+        pick-law kernel's come from _pick_diagonals instead, within a few
+        ulp of c / den).  Cached: curves step one call at a time.
         """
         if exact not in self._diagonals:
-            by_offset: dict[int, dict[int, int]] = {}
-            for w, row in enumerate(self.rows):
-                for t, c in row.items():
-                    by_offset.setdefault(t - w, {})[w] = c
-            diags = []
-            for d, col in sorted(by_offset.items()):
-                lo, hi = min(col), max(col) + 1
-                cs = [col.get(w, 0) for w in range(lo, hi)]
-                if not exact:
-                    import numpy as np
+            if not exact and self._pick is not None:
+                diags = _pick_diagonals(self.n, *self._pick)
+            else:
+                by_offset: dict[int, dict[int, int]] = {}
+                for w, row in enumerate(self.rows):
+                    for t, c in row.items():
+                        by_offset.setdefault(t - w, {})[w] = c
+                diags = []
+                for d, col in sorted(by_offset.items()):
+                    lo, hi = min(col), max(col) + 1
+                    cs = [col.get(w, 0) for w in range(lo, hi)]
+                    if not exact:
+                        import numpy as np
 
-                    cs = np.array([v / self.den for v in cs])
-                diags.append((d, lo, hi, cs))
+                        cs = np.array([v / self.den for v in cs])
+                    diags.append((d, lo, hi, cs))
             self._diagonals[exact] = diags
         return self._diagonals[exact]
 
 
-def _pick_kernel(n: int, k: int, drop: int, land, den: int, hold: int = 0) -> WeightKernel:
-    """Lumped chain of a walk that picks k of n coordinates per step, over den.
+def _pick_kernel(n: int, k: int, drop: int, land, scale: int, hold: int = 0) -> WeightKernel:
+    """Lumped chain of a walk that picks k of n coordinates per step.
 
     From size s, i picks lie in the set (hypergeometric), and each (b, f) in
-    land moves s to s + b - drop*i with numerator f; hold is a self-loop."""
+    land moves s to s + b - drop*i with probability f/scale times the pick
+    law's; hold/scale is a self-loop.  The rows are over scale * C(n, k)."""
+    return WeightKernel(n, pick=(k, drop, tuple(land), scale, hold))
+
+
+def _pick_rows(n, k, drop, land, scale, hold):
+    """(rows, den) of _pick_kernel's chain in integers over den = scale * C(n, k)."""
+    C = math.comb(n, k)
+    hold *= C
     rows = []
     for s in range(n + 1):
         picks = hypergeom_numerators(n, s, k)
@@ -202,7 +237,77 @@ def _pick_kernel(n: int, k: int, drop: int, land, den: int, hold: int = 0) -> We
             else:
                 row = dict(moves) if f == 1 else {t: f * h for t, h in moves}
         rows.append(row)
-    return WeightKernel(n, rows=rows, den=den)
+    return rows, scale * C
+
+
+def _pick_law_floats(n: int, k: int) -> np.ndarray:
+    """g[i, t] = C(s,i) C(n-s,k-i) / C(n,k) at s = t + i, in float64.
+
+    Row i, for t = 0..n-k, is column i of the pick law over its support
+    s = i..n-k+i: the diagonal a pick kernel steps along.  Each law (fixed
+    s) is 1.0 at its mode (s+1)(k+1)//(n+2) and is multiplied outward by
+    the exact term ratio (s-i)(k-i) / ((i+1)(n-s-k+i+1)), rounded once, so
+    an entry i has rounded about 2|i - mode| times; math.fsum then
+    normalises each law.  No big integer is formed.
+    """
+    import numpy as np
+
+    span = n - k + 1
+    g = np.empty((k + 1, span))
+    t = np.arange(span, dtype=float)
+    # firsts[i]: the first s whose mode reaches i, so row i holds the mode at
+    # t in [a, b) = [firsts[i] - i, firsts[i + 1] - i), values before it
+    # climbing from row i - 1 and values after it falling from row i + 1;
+    # each mode lies in its law's support, so 0 <= a < span and 0 < b <= span
+    firsts = [(i * (n + 2) + k) // (k + 1) - 1 for i in range(k + 2)]
+    starts = [(max(firsts[i] - i, 0), firsts[i + 1] - i) for i in range(k + 1)]
+    for i, (a, b) in enumerate(starts):
+        if a:
+            # H[s, i] = H[s, i-1] (s-i+1)(k-i+1) / (i (n-s-k+i)) at s = t + i
+            g[i, :a] = g[i - 1, 1 : a + 1] * (((t[:a] + 1) * (k - i + 1)) / ((n - k - t[:a]) * i))
+        g[i, a:b] = 1.0
+    for i in range(k - 1, -1, -1):
+        b = starts[i][1]
+        if b < span:
+            # H[s, i] = H[s, i+1] (i+1)(n-s-k+i+1) / ((s-i)(k-i)) at s = t + i
+            g[i, b:] = g[i + 1, b - 1 : span - 1] * (((n - k - t[b:] + 1) * (i + 1)) / (t[b:] * (k - i)))
+    # law s is the anti-diagonal g[i, s - i], at flat index i (span - 1) + s;
+    # fsum runs far faster fed outward from the mode than in index order
+    flat, step = g.ravel(), span - 1
+    totals = np.empty(n + 1)
+    for s in range(n + 1):
+        lo, mode, hi = (i * step + s for i in (max(0, s - step), (s + 1) * (k + 1) // (n + 2), min(s, k)))
+        totals[s] = math.fsum(flat[mode : hi + 1 : step or 1].tolist() + flat[lo:mode : step or 1].tolist()[::-1])
+    for i in range(k + 1):
+        g[i] /= totals[i : i + span]
+    return g
+
+
+def _pick_diagonals(n, k, drop, land, scale, hold):
+    """_pick_kernel's float diagonals, (d, lo, hi, c) as in WeightKernel.diagonals.
+
+    The move (b, f) at i picks in the set steps from s = i..n-k+i by
+    d = b - drop*i with probability f/scale times row i of _pick_law_floats;
+    moves that share an offset are summed, and hold/scale joins d = 0.
+    """
+    import numpy as np
+
+    g = _pick_law_floats(n, k)
+    span = n - k + 1
+    ranges: dict[int, tuple[int, int]] = {0: (0, n + 1)} if hold else {}
+    for b, _ in land:
+        for i in range(k + 1):
+            lo, hi = ranges.get(b - drop * i, (i, i + span))
+            ranges[b - drop * i] = (min(lo, i), max(hi, i + span))
+    diags = {d: (lo, hi, np.zeros(hi - lo)) for d, (lo, hi) in ranges.items()}
+    for b, f in land:
+        w = f / scale
+        for i in range(k + 1):
+            lo, _, c = diags[b - drop * i]
+            c[i - lo : i - lo + span] += g[i] * w
+    if hold:
+        diags[0][2][:] += hold / scale
+    return [(d, lo, hi, c) for d, (lo, hi, c) in sorted(diags.items())]
 
 
 def flip_weight_kernel(spec: WalkSpec) -> WeightKernel:
@@ -213,8 +318,7 @@ def flip_weight_kernel(spec: WalkSpec) -> WeightKernel:
     """
     n, k, p = spec.n, spec.k, spec.p
     a, q = p.numerator, p.denominator
-    C = math.comb(n, k)
-    return _pick_kernel(n, k, 2, [(k, q - a)], q * C, hold=a * C)
+    return _pick_kernel(n, k, 2, [(k, q - a)], q, hold=a)
 
 
 def evolve(dist: WeightDistribution, kernel: WeightKernel, steps: int) -> WeightDistribution:
@@ -433,8 +537,7 @@ def touched_weight_kernel(cspec: CyclicWalkSpec) -> WeightKernel:
     From w touched coordinates a step touches j new ones with probability
     C(n-w,j) C(w,k-j) / C(n,k).
     """
-    n, k = cspec.n, cspec.k
-    return _pick_kernel(n, k, 1, [(k, 1)], math.comb(n, k))
+    return _pick_kernel(cspec.n, cspec.k, 1, [(cspec.k, 1)], 1)
 
 
 def support_weight_kernel(cspec: CyclicWalkSpec) -> WeightKernel:
@@ -446,7 +549,7 @@ def support_weight_kernel(cspec: CyclicWalkSpec) -> WeightKernel:
     """
     n, m, k = cspec.n, cspec.m, cspec.k
     fresh = [(b, c * (m - 1) ** b) for b, c in enumerate(binom_row(k))]
-    return _pick_kernel(n, k, 1, fresh, math.comb(n, k) * m**k)
+    return _pick_kernel(n, k, 1, fresh, m**k)
 
 
 def separation_tail(touched: WeightDistribution) -> Fraction | float:

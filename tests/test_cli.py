@@ -595,26 +595,36 @@ _NOT_LOADED = {
     "tv-cyclic": {"coupling", "bounds"},
     "spectrum": {"exactdist", "coupling", "bounds"},
     "bounds": {"coupling", "exactdist"},
-    "verify-general": {"bounds"},
+    "verify-general": {"bounds", "exactdist", "spectrum", "krawtchouk"},
     "couple": {"bounds"},
     "verify-eig34": {"coupling", "bounds"},
 }
 
 
-def _fresh_run(argv, output):
-    """(numpy loaded?, the cubemix submodules loaded) after one CLI run in a fresh interpreter."""
+_TASKS = "/proc/self/task"
+
+
+def _fresh_run(argv, output, blas_threads=None):
+    """(numpy loaded?, the cubemix submodules loaded, thread count) after one
+    CLI run in a fresh interpreter; the count is -1 without /proc/self/task.
+
+    blas_threads sets OPENBLAS_NUM_THREADS for the run; None leaves it unset."""
     script = (
-        "import sys\n"
+        "import os, sys\n"
         "from cubemix.cli import main\n"
         f"code = main({argv + ['--output', str(output)]!r})\n"
-        "print(code, 'numpy' in sys.modules, *(m for m in sys.modules if m.startswith('cubemix.')))\n"
+        f"threads = len(os.listdir({_TASKS!r})) if os.path.isdir({_TASKS!r}) else -1\n"
+        "print(code, 'numpy' in sys.modules, threads, *(m for m in sys.modules if m.startswith('cubemix.')))\n"
     )
     src = str(Path(cubemix.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    code, loaded, *modules = proc.stdout.splitlines()[-1].split()
+    code, loaded, threads, *modules = proc.stdout.splitlines()[-1].split()
     assert code in ("0", "2"), proc.stdout
-    return loaded == "True", {m.removeprefix("cubemix.") for m in modules}
+    return loaded == "True", {m.removeprefix("cubemix.") for m in modules}, int(threads)
 
 
 def _loads_numpy(argv, output):
@@ -628,7 +638,7 @@ def test_exact_and_monte_carlo_commands_do_not_load_numpy(argv, tmp_path):
 
 @pytest.mark.parametrize("name", _NOT_LOADED)
 def test_each_command_loads_only_the_modules_it_runs(name, tmp_path):
-    _, modules = _fresh_run(_NUMPY_FREE[name], tmp_path / "out")
+    _, modules, _ = _fresh_run(_NUMPY_FREE[name], tmp_path / "out")
     assert "cli" in modules
     assert not modules & _NOT_LOADED[name]
 
@@ -636,6 +646,54 @@ def test_each_command_loads_only_the_modules_it_runs(name, tmp_path):
 def test_float_backend_loads_numpy(tmp_path):
     # the check above is not vacuous: the same probe sees a float run load it
     assert _loads_numpy(["tv", "--n", "12", "--k", "3", "--steps", "5", "--backend", "float"], tmp_path / "out")
+
+
+_FLOAT_TV = ["tv", "--n", "500", "--k", "5", "--steps", "20", "--backend", "float"]
+
+
+@pytest.mark.skipif(not os.path.isdir(_TASKS), reason="needs /proc/self/task to count threads")
+def test_float_run_keeps_one_thread(tmp_path):
+    # no subcommand calls BLAS, so the CLI starts numpy's OpenBLAS with one
+    # thread instead of an idle pool
+    loaded, _, threads = _fresh_run(_FLOAT_TV, tmp_path / "out")
+    assert loaded and threads == 1
+
+
+@pytest.mark.skipif(not os.path.isdir(_TASKS), reason="needs /proc/self/task to count threads")
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs one thread on one CPU")
+def test_float_run_respects_a_user_blas_thread_count(tmp_path):
+    loaded, _, threads = _fresh_run(_FLOAT_TV, tmp_path / "out", blas_threads="2")
+    assert loaded and threads == 2
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_main_leaves_the_environment_as_it_found_it(preset, tmp_path, monkeypatch):
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    seen = []
+    # the default holds while the command runs, a user's value throughout
+    monkeypatch.setattr(cli, "_cmd_spectrum", lambda args: seen.append(os.environ.get("OPENBLAS_NUM_THREADS")) or 0)
+    before = dict(os.environ)
+    assert main(_FLOAT_TV + ["--output", str(tmp_path / "tv.csv")]) == 0
+    assert main(["spectrum", "--n", "8", "--k", "3"]) == 0
+    assert main(["tv", "--n", "-1", "--k", "1", "--steps", "1"]) == 1
+    assert dict(os.environ) == before
+    assert seen == [preset or "1"]
+
+
+def test_importing_the_cli_loads_no_submodule_and_leaves_the_environment():
+    script = (
+        "import os, sys\n"
+        "before = dict(os.environ)\n"
+        "import cubemix.cli\n"
+        "print(dict(os.environ) == before, *(m for m in sys.modules if m.startswith('cubemix.')))\n"
+    )
+    src = str(Path(cubemix.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["True", "cubemix.cli"]
 
 
 def test_output_dir_environment_variable(tmp_path, monkeypatch):

@@ -24,7 +24,7 @@ from cubemix import (
     verify_pick_fraction_bounds,
 )
 from cubemix import coupling
-from cubemix.coupling import _draw_mask, _even_x2_flipset, _mode_bad_range, _overlap_mass, _sample_setsize
+from cubemix.coupling import _draw_mask, _even_x2_flipset, _mode_bad_range, _overlap_mass, _sample_pool
 from cubemix.numerics import binom_row
 
 HALF = Fraction(1, 2)
@@ -341,11 +341,27 @@ def test_draw_mask_consumes_the_random_sample_stream():
         for k in sorted({1, 2, 3, 5, 6, 7, n // 2, n}):
             if not 1 <= k <= n:
                 continue
-            setsize = _sample_setsize(k)
+            pool = _sample_pool(n, k)
             for _ in range(3):
-                got = _draw_mask(a.getrandbits, n, k, setsize)
+                got = _draw_mask(a.getrandbits, n, k, pool)
                 assert got == sum(1 << i for i in b.sample(range(n), k)), (n, k)
             assert a.getstate() == b.getstate(), (n, k)
+
+
+def test_pool_draws_copy_one_pool_and_match_random_sample():
+    # the pool branch copies the caller's pool for each draw, so one pool
+    # serves a whole run: every pool-branch (n, k) up to n = 60, several
+    # seeds, several draws from the same pool
+    pairs = [(n, k) for n in range(1, 61) for k in range(1, n + 1) if _sample_pool(n, k) is not None]
+    assert (21, 5) in pairs and (22, 5) not in pairs and (60, 6) in pairs
+    for seed in (0, 1, 20240607):
+        a, b = random.Random(seed), random.Random(seed)
+        for n, k in pairs:
+            pool = _sample_pool(n, k)
+            for _ in range(4):
+                assert _draw_mask(a.getrandbits, n, k, pool) == sum(1 << i for i in b.sample(range(n), k)), (n, k)
+            assert pool == list(range(n))
+        assert a.getstate() == b.getstate()
 
 
 def _oracle_simulation(spec, trials, max_steps, seed):

@@ -33,8 +33,8 @@ from cubemix import (
     zmn_exact_tv,
     zmn_l2_upper_bound,
 )
-from cubemix.exactdist import _subset_flip_sum, _uniform_weight_float
-from cubemix.numerics import binom_row
+from cubemix.exactdist import WeightKernel, _pick_law_floats, _subset_flip_sum, _uniform_weight_float
+from cubemix.numerics import binom_row, hypergeom_numerators
 
 HALF = Fraction(1, 2)
 
@@ -211,6 +211,66 @@ def test_float_evolve_matches_exact_random_sweep():
 def test_float_evolve_keeps_mass_over_long_runs():
     dist = evolve(WeightDistribution.delta(2000).to_float(), flip_weight_kernel(WalkSpec(2000, 7)), 1900)
     assert abs(math.fsum(dist.vec) - 1.0) <= 1e-12
+
+
+U = 2.0**-53
+
+
+def test_float_pick_law_table_is_the_exact_law_to_a_few_ulp():
+    # Each law starts at 1.0 at its mode and multiplies a once-rounded ratio
+    # per step, so entry i rounds about 2|i - mode| times (|i - mode| u);
+    # the fsum total carries the entries' mean error, at most sd + 1 <=
+    # sqrt(k) + 1 steps, and the division u/2.  The reference is the exact
+    # law rounded once (u/2 more); subnormal entries have no relative bound.
+    cases = [(n, k) for n in range(1, 25) for k in range(1, n + 1)]
+    cases += [(1002, 501), (1002, 3), (1001, 250), (2002, 1001)]
+    for n, k in cases:
+        g = _pick_law_floats(n, k)
+        assert g.shape == (k + 1, n - k + 1)
+        C = math.comb(n, k)
+        for s in range(0, n + 1, 1 if n < 100 else 41):
+            mode = (s + 1) * (k + 1) // (n + 2)
+            law = hypergeom_numerators(n, s, k)
+            assert set(law) == {i for i in range(k + 1) if 0 <= s - i <= n - k}
+            for i, c in law.items():
+                want = c / C
+                if want >= 2.0**-1000:
+                    bound = (abs(i - mode) + math.sqrt(k) + 3) * U
+                    assert abs(g[i, s - i] - want) <= bound * want, (n, k, s, i)
+
+
+def test_float_pick_kernel_diagonals_match_the_exact_rows():
+    # the float diagonals are built from the table, never from the integer
+    # rows: same offsets and ranges as dividing the rows out, values within
+    # the table's bound plus the weight's and the hold's roundings
+    for n in range(1, 19):
+        for k in range(1, n + 1):
+            kernels = [flip_weight_kernel(WalkSpec(n, k, p)) for p in (Fraction(0), HALF, Fraction(2, 3))]
+            kernels += [touched_weight_kernel(CyclicWalkSpec(n, 3, k)), support_weight_kernel(CyclicWalkSpec(n, 4, k))]
+            for kern in kernels:
+                got = kern.diagonals(False)
+                assert kern._rows is None, "the float diagonals built the integer rows"
+                want = WeightKernel(n, rows=kern.rows, den=kern.den).diagonals(False)
+                assert [d[:3] for d in got] == [d[:3] for d in want], (n, k)
+                bound = (k + math.sqrt(k) + 5) * U
+                for (*_, a), (*_, b) in zip(got, want):
+                    assert np.all(np.abs(a - b) <= bound * b), (n, k)
+
+
+@pytest.mark.parametrize(
+    "n,k,steps",
+    [(1002, 501, 3), (1001, 500, 2), (1002, 250, 3), (1002, 3, 40), (600, 300, 6), (401, 200, 10)],
+)
+def test_float_evolve_matches_exact_up_to_k_half_n(n, k, steps):
+    # the float pick-law table carries the headline walk k = n/2 beyond the
+    # exact cutoff; the tolerance is the random sweep's
+    kern = flip_weight_kernel(WalkSpec(n, k))
+    exact = WeightDistribution.delta(n)
+    approx = exact.to_float()
+    for l in range(1, steps + 1):
+        exact, approx = evolve(exact, kern, 1), evolve(approx, kern, 1)
+        assert abs(float(tv_to_uniform(exact)) - tv_to_uniform(approx)) <= 1e-12, (n, k, l)
+        assert abs(math.fsum(approx.vec) - 1.0) <= 1e-12
 
 
 def test_spectral_evolve_brute_force_agree():
