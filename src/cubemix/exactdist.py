@@ -169,18 +169,18 @@ class WeightKernel:
                 raise ValueError(f"negative entry in kernel row {w}")
         self._rows, self._den = rows, den
 
-    def _exact(self) -> tuple[list[dict[int, int]], int]:
+    def _integers(self) -> tuple[list[dict[int, int]], int]:
         if self._rows is None:
             self._set_rows(*_pick_rows(self.n, *self._pick))
         return self._rows, self._den
 
     @property
     def rows(self) -> list[dict[int, int]]:
-        return self._exact()[0]
+        return self._integers()[0]
 
     @property
     def den(self) -> int:
-        return self._exact()[1]
+        return self._integers()[1]
 
     def diagonals(self, exact: bool) -> list[tuple[int, int, int, list[int] | np.ndarray]]:
         """[(d, lo, hi, c)] with c[w - lo] = rows[w][w + d], one per offset d.
