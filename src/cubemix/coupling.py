@@ -25,7 +25,11 @@ rng.sample(range(n), k) would.
 
 The verifiers at the bottom certify, in exact arithmetic, the hypergeometric
 pick-probability inequalities that drive the coupling time analysis, and
-report every counterexample they find rather than hiding it.
+report every counterexample they find rather than hiding it.  The
+all-(n, k) sweep steps one running pair of hypergeometric CDFs along y per
+(n, k) instead of summing a window of the pmf per cell, so a cell costs at
+most two big-integer products, and it checks each claim on a run of y at
+once: the run's minimum, and the cells one by one only when that fails.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from itertools import accumulate, combinations
 from operator import mul, sub
 from typing import TYPE_CHECKING
 
-from .numerics import binom_row, cmp_ratio_with_ln2, hypergeom_numerators
+from .numerics import LN2_LO, binom_row, cmp_ratio_with_ln2, hypergeom_numerators
 
 # the exact kernels are imported where they are used, so the verifiers load
 # neither exactdist nor spectrum
@@ -377,7 +381,9 @@ def simulate_coupling(spec: WalkSpec, trials: int, max_steps: int, seed: int) ->
 
     _require_coupling_spec(spec, "simulate_coupling")
     if trials < 1 or max_steps < 0:
-        raise ValueError(f"simulate_coupling needs trials >= 1, max_steps >= 0")
+        raise ValueError(
+            f"simulate_coupling needs trials >= 1, max_steps >= 0, got trials={trials}, max_steps={max_steps}"
+        )
     n, k = spec.n, spec.k
     # the even-y draw inlines _draw_mask's set branch; the pool branch calls it
     pool = _sample_pool(n, k)
@@ -570,6 +576,85 @@ class PickBoundsCertificate:
 _SAMPLE_CAP = 40
 
 
+def _pick_sums(rows: list, n: int, k: int) -> list[int]:
+    """[s(0), ..., s(n)], s(y) = sum of C(y,i) C(n-y,k-i) over ceil(yk/2n) <= i <= y//2.
+
+    rows[m] is binom_row(m) for m <= n, and 1 <= k <= n/2.  With
+    G(y, j) = sum_{i <= j} C(y,i) C(n-y,k-i), s(y) = G(y, y//2) - G(y, j(y))
+    for j(y) = ceil(yk/2n) - 1, and both terms are stepped in y, not summed:
+    G(y+1, j) = G(y, j) - C(y,j) C(n-y-1,k-j-1) and
+    G(y, j+1) = G(y, j) + C(y,j+1) C(n-y,k-j-1).  With k <= n/2 each limit
+    rises by at most 1 per y, and a rise folds both steps into one by
+    Pascal's rule: G(y+1, j+1) = G(y, j) + C(y,j+1) C(n-y-1,k-j-1).  So each
+    y costs at most two big-integer products, one per limit; a factor off the
+    table (j < 0, or k-j-1 outside 0..n-y-1) is 0 and its step is skipped.
+    """
+    up, low = rows[n][k], 0  # G(0, 0) and G(0, -1)
+    j, yk, edge = -1, 0, 0  # edge = 2n(j + 1): j rises once yk passes it
+    out = [up]
+    for y in range(n):
+        ry, rest = rows[y], rows[n - y - 1]
+        h = y >> 1
+        if h < k:
+            # k - h - 1 <= n - y - 1 because k <= n/2
+            if y & 1:
+                up += ry[h + 1] * rest[k - h - 1]
+            else:
+                up -= ry[h] * rest[k - h - 1]
+        yk += k
+        rise = yk > edge
+        if k - j <= n - y:
+            if rise:
+                low += ry[j + 1] * rest[k - j - 1]
+            elif j >= 0:
+                low -= ry[j] * rest[k - j - 1]
+        if rise:
+            j += 1
+            edge += 2 * n
+        out.append(up - low)
+    return out
+
+
+def _pick_blocks(n: int, k: int) -> tuple:
+    """(part, base, lo, hi) for parts 2-9 at one (n, k): part covers lo <= y < hi.
+
+    base is the part for y >= k (2: yk >= 2n, 3: yk >= n, 4: 2yk/n > ln 2,
+    5: below) and base + 4 is the part for y < k.  q = yk/n grows with y,
+    so the bases cut 1..n into four runs and y = k cuts each run in two.
+    The ln 2 cut is decided exactly by cmp_ratio_with_ln2, stepping up from
+    floor(n LN2_LO / 2k), which lies below it since LN2_LO < ln 2.
+    """
+    top = n + 1
+    y2 = min(-(-2 * n // k), top)
+    y3 = min(-(-n // k), top)
+    y4 = max(1, n * LN2_LO.numerator // (2 * k * LN2_LO.denominator))
+    while y4 < y3 and cmp_ratio_with_ln2(2 * y4 * k, n) < 0:
+        y4 += 1
+    out = []
+    for base, a, b in ((5, 1, y4), (4, y4, y3), (3, y3, y2), (2, y2, top)):
+        out.append((base + 4, base, a, min(b, k)))
+        out.append((base, base, max(a, k), b))
+    return tuple(out)
+
+
+def _pick_claim_holds(base: int, v: int, C: int) -> bool:
+    """Whether one cell's value meets its base part's claim; C = C(n, k).
+
+    v is the sum s (P = s/2C) for bases 2-4 and the slack numerator
+    4ns - C yk = 8nC (P - q/8) for base 5.  Each claim holds from some
+    value on, so a run of cells holds when its smallest value does.
+    """
+    if base == 2:
+        return 4 * v >= C
+    if base == 3:
+        return 3 * v >= C
+    if base == 4:
+        # (2 - sqrt 2)/8 <= s/2C, squared as 2C - 4s <= 0 or (2C - 4s)^2 <= 2C^2
+        t = 2 * C - 4 * v
+        return t <= 0 or 2 * C * C >= t * t
+    return v >= 0
+
+
 def verify_pick_fraction_bounds(n_max: int, parts=tuple(range(1, 10))) -> PickBoundsCertificate:
     """Exact sweep of the nine pick-fraction claims over n <= n_max, k <= n/2.
 
@@ -585,6 +670,18 @@ def verify_pick_fraction_bounds(n_max: int, parts=tuple(range(1, 10))) -> PickBo
     pmf rises at i <= r = (yk - n + y + k - 1) // (n + 2) and falls above;
     the contradicted i form an integer range below or above r, counted by
     its length, and a tie at i(n + 2) = yk - n + y + k - 1 contradicts none.
+
+    Parts 2-9 share one sum per cell, s(y) = sum of C(y,i) C(n-y,k-i) over
+    ceil(yk/2n) <= i <= y//2 (the lower limit is 1 wherever yk < 2n), and
+    P = s/2C with C = C(n, k).  _pick_sums gets every y's s at one (n, k)
+    from two running hypergeometric CDFs, at most two big-integer products
+    per y.  q grows with y, so each part covers one run of y at each (n, k)
+    (_pick_blocks), and the run is checked as a block: its length is
+    counted, its smallest value (the first y to reach it is the witness)
+    is compared with the part's running minimum, and since every claim is
+    monotone in the value, its cells are scanned one by one only when that
+    smallest value fails the claim.
+
     Everything is integer arithmetic; bounds involving sqrt 2 are
     decided by squaring.  q is classified by comparing yk with n and 2n
     and 2yk/n with the ln 2 brackets, each part's running minimum is kept
@@ -603,7 +700,7 @@ def verify_pick_fraction_bounds(n_max: int, parts=tuple(range(1, 10))) -> PickBo
     samples: dict[int, list] = {p: [] for p in parts}
     # part -> (numerator, denominator, witness) of the smallest value so far
     min_pair: dict[int, tuple | None] = {p: None for p in parts}
-    want_sum = [p for p in parts if p != 1]
+    want_sum = any(p != 1 for p in parts)
     want_mode = 1 in parts
 
     for n in range(2, n_max + 1):
@@ -611,42 +708,39 @@ def verify_pick_fraction_bounds(n_max: int, parts=tuple(range(1, 10))) -> PickBo
         if want_mode:
             checked[1] += n // 2 * n
         for k in range(1, n // 2 + 1):
-            C = rows[n][k]
-            for y in range(1, n + 1):
-                yk = y * k
-                if want_mode:
-                    start, stop = _mode_bad_range(n, k, y, yk - n + y + k, n + 1)
+            if want_mode:
+                for y in range(1, n + 1):
+                    start, stop = _mode_bad_range(n, k, y, y * k - n + y + k, n + 1)
                     if start < stop:
                         bad = range(start, stop)
                         nviol[1] += len(bad)
                         samples[1] += [(n, k, y, i) for i in bad[: _SAMPLE_CAP - len(samples[1])]]
-                if not want_sum:
+            if not want_sum:
+                continue
+            C = rows[n][k]
+            sums = _pick_sums(rows, n, k)
+            for part, base, lo, hi in _pick_blocks(n, k):
+                if part not in checked or lo >= hi:
                     continue
-                base = 2 if yk >= 2 * n else 3 if yk >= n else 4 if cmp_ratio_with_ln2(2 * yk, n) >= 0 else 5
-                part = base + 4 if y < k else base
-                if part not in checked:
-                    continue
-                checked[part] += 1
-                s = _overlap_mass(rows[y], rows[n - y], k, -(-yk // (2 * n)) if base == 2 else 1, y // 2)
+                checked[part] += hi - lo
                 # the value as (num, den): P = s/2C, or the slack P - yk/8n
-                num, den = s, 2 * C
-                if base == 2:
-                    ok = 4 * s >= C
-                elif base == 3:
-                    ok = 3 * s >= C
-                elif base == 4:
-                    t = 2 * C - 4 * s
-                    ok = t <= 0 or 2 * C * C >= t * t
+                if base == 5:
+                    vals = [4 * n * s - C * k * y for y, s in zip(range(lo, hi), sums[lo:hi])]
+                    den = 8 * n * C
                 else:
-                    num, den = 4 * n * s - C * yk, 8 * n * C
-                    ok = num >= 0
+                    vals, den = sums[lo:hi], 2 * C
+                low = min(vals)
                 best = min_pair[part]
-                if best is None or num * best[1] < best[0] * den:
-                    min_pair[part] = (num, den, (n, k, y))
-                if not ok:
-                    nviol[part] += 1
-                    if len(samples[part]) < _SAMPLE_CAP:
-                        samples[part].append((n, k, y, Fraction(s, 2 * C)))
+                if best is None or low * best[1] < best[0] * den:
+                    min_pair[part] = (low, den, (n, k, lo + vals.index(low)))
+                # every claim is monotone in its value: a block holds if its minimum does
+                if _pick_claim_holds(base, low, C):
+                    continue
+                for y, v in zip(range(lo, hi), vals):
+                    if not _pick_claim_holds(base, v, C):
+                        nviol[part] += 1
+                        if len(samples[part]) < _SAMPLE_CAP:
+                            samples[part].append((n, k, y, Fraction(sums[y], 2 * C)))
 
     reports = []
     odd_only = True

@@ -106,3 +106,21 @@ def test_couple_bytes_are_pinned_at_bench_size(argv, tmp_path):
     out = tmp_path / "couple.csv"
     assert main(argv.split() + ["--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == COUPLE_AT_BENCH_SIZE[argv]
+
+
+# The digests above pin the general sweep only up to n = 30.  These pin it at
+# the benchmark's size (n-max 80) and at the README's (150), where every
+# part's minimum and violation samples come from large binomials; the
+# 150 digest is also checked through the console script in CI.
+VERIFY_GENERAL_AT_SIZE = {
+    80: "67aab0cd36a14d88919ba9f4ae6ac4f0e6d29700066abc2a40770069f3e97d9b",
+    150: "0474a747daf949790482067d836dc4b15c78614b4d653dbbd834f8387486f1e8",
+}
+
+
+@pytest.mark.parametrize("n_max", sorted(VERIFY_GENERAL_AT_SIZE))
+def test_verify_general_bytes_are_pinned_at_size(n_max, tmp_path):
+    out = tmp_path / "general.json"
+    argv = f"verify --lemma general --n-max {n_max} --format json --output {out}"
+    assert main(argv.split()) == 2
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_GENERAL_AT_SIZE[n_max]

@@ -24,7 +24,14 @@ from cubemix import (
     verify_pick_fraction_bounds,
 )
 from cubemix import coupling
-from cubemix.coupling import _draw_mask, _even_x2_flipset, _mode_bad_range, _overlap_mass, _sample_pool
+from cubemix.coupling import (
+    _draw_mask,
+    _even_x2_flipset,
+    _mode_bad_range,
+    _overlap_mass,
+    _pick_sums,
+    _sample_pool,
+)
 from cubemix.numerics import binom_row
 
 HALF = Fraction(1, 2)
@@ -320,6 +327,14 @@ def test_simulation_reproducible_and_censored():
         simulate_coupling(spec, 0, 5, seed=1)
 
 
+def test_simulation_domain_error_names_the_arguments():
+    spec = WalkSpec(5, 3)
+    with pytest.raises(ValueError, match=r"got trials=0, max_steps=5$"):
+        simulate_coupling(spec, 0, 5, seed=1)
+    with pytest.raises(ValueError, match=r"got trials=10, max_steps=-1$"):
+        simulate_coupling(spec, 10, -1, seed=1)
+
+
 def test_simulation_tracks_exact_tail():
     spec = WalkSpec(5, 3)
     trials = 400
@@ -522,6 +537,56 @@ def test_overlap_mass_matches_comb_sums():
                             for i in range(max(lo, 0, k - (n - y)), min(hi, y, k) + 1)
                         )
                         assert _overlap_mass(ry, rny, k, lo, hi) == want, (n, y, k, lo, hi)
+
+
+def test_pick_sums_match_overlap_mass():
+    # the stepped CDFs give every cell's slice sum, up to k = n/2 and y = n
+    for n in range(2, 61):
+        rows = [binom_row(m) for m in range(n + 1)]
+        for k in range(1, n // 2 + 1):
+            sums = _pick_sums(rows, n, k)
+            assert len(sums) == n + 1
+            for y in range(n + 1):
+                want = _overlap_mass(rows[y], rows[n - y], k, -(-y * k // (2 * n)), y // 2)
+                assert sums[y] == want, (n, k, y)
+
+
+@pytest.mark.parametrize("shift", [2, 3, 6])
+def test_pick_blocks_scan_every_cell_under_stricter_claims(shift, monkeypatch):
+    # the real claims fail only at y = 1, the first cell of a run, so the
+    # cell-by-cell scan of a failing run is checked here under claims made
+    # stricter (still monotone in the value): every count and sample must
+    # match a per-cell oracle that reads the same predicate
+    holds = coupling._pick_claim_holds
+
+    def stricter(base, v, C):
+        return holds(base, v - shift * C // 8, C)
+
+    monkeypatch.setattr(coupling, "_pick_claim_holds", stricter)
+    n_max = 30
+    cert = verify_pick_fraction_bounds(n_max, parts=range(2, 10))
+    want = {p: [0, []] for p in range(2, 10)}
+    failed_runs = set()
+    for n in range(2, n_max + 1):
+        rows = [binom_row(m) for m in range(n + 1)]
+        for k in range(1, n // 2 + 1):
+            C = rows[n][k]
+            for y in range(1, n + 1):
+                q = Fraction(y * k, n)
+                base = 2 if q >= 2 else 3 if q >= 1 else 4 if 2 * q > math.log(2) else 5
+                s = _overlap_mass(rows[y], rows[n - y], k, -(-y * k // (2 * n)), y // 2)
+                v = 4 * n * s - C * y * k if base == 5 else s
+                if not stricter(base, v, C):
+                    part = base + 4 if y < k else base
+                    failed_runs.add((part, n, k))
+                    rec = want[part]
+                    rec[0] += 1
+                    if len(rec[1]) < 40:
+                        rec[1].append((n, k, y, Fraction(s, 2 * C)))
+    got = {r.part: [r.violations, list(r.violation_samples)] for r in cert.reports}
+    assert got == want
+    # some run of y fails at more than one cell
+    assert sum(rec[0] for rec in want.values()) > len(failed_runs)
 
 
 def _mode_oracle(n_max, shifts):
