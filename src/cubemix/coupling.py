@@ -30,6 +30,8 @@ all-(n, k) sweep steps one running pair of hypergeometric CDFs along y per
 (n, k) instead of summing a window of the pmf per cell, so a cell costs at
 most two big-integer products, and it checks each claim on a run of y at
 once: the run's minimum, and the cells one by one only when that fails.
+Its mode-threshold part visits only the y where the threshold and the
+ratio test's boundary are far enough apart to disagree, found per (n, k).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from operator import mul, sub
 from typing import TYPE_CHECKING
 
@@ -484,22 +486,37 @@ def _overlap_mass(ry: tuple, rny: tuple, k: int, lo: int, hi: int) -> int:
     return sum(map(mul, ry[lo : hi + 1], rny[lo + off : hi + off + 1]))
 
 
-def _mode_bad_range(n: int, k: int, y: int, tnum: int, tden: int) -> tuple[int, int]:
-    """[start, stop): the i whose ratio test contradicts threshold t = tnum/tden, tden > 0.
+def _mode_bad_ranges(n: int, k: int, tnum0: int):
+    """Yield (y, start, stop) for each y = 1..n where [start, stop) is nonempty:
+    the i whose ratio test contradicts the threshold t = (tnum0 + y(k+1))/(n+1).
 
-    On the support's steps the pmf rises at i <= r and falls above.  With
-    ceil(t) <= r the bad i are strict rises at i >= t (a tie at i = r is no
-    rise); otherwise they are falls at i + 1 <= t, which need t >= r + 2.
+    With X = (y+1)(k+1), P(a = i+1) - P(a = i) has the sign of
+    X - (i+1)(n+2), so the pmf rises at i <= r = X // (n+2) - 1 and falls
+    above, with a tie (no rise) at i = r when n+2 divides X.  With
+    ceil(t) <= r the bad i are strict rises at ceil(t) <= i, otherwise falls
+    at r < i <= floor(t) - 1, either cut to the support
+    max(0, k-n+y) <= i < min(y, k).  Falls need floor(t) > X // (n+2), so
+    t > X/(n+2); rises need ceil(t) <= X // (n+2) - 1, so t <= X/(n+2) - 1.
+    Since (n+1)(n+2)(t - X/(n+2)) = y(k+1) - B with
+    B = (k+1)(n+1) - tnum0 (n+2), only the y with y(k+1) > B or
+    y(k+1) <= B - (n+1)(n+2) are visited.  At the nominal threshold,
+    tnum0 = k - n and 1 <= k <= n/2, neither holds for any y <= n, so the
+    sweep's part 1 visits no cell.
     """
-    lo, hi = (k - n + y if k - n + y > 0 else 0), (y if y < k else k)
-    a = y * k - n + y + k - 1
-    r = a // (n + 2)
-    start = -(-tnum // tden)
-    if start <= r:
-        stop = r if r * (n + 2) == a else r + 1
-    else:
-        start, stop = r + 1, tnum // tden
-    return (start if start > lo else lo), (stop if stop < hi else hi)
+    n1, n2, k1 = n + 1, n + 2, k + 1
+    B = k1 * n1 - tnum0 * n2
+    for y in chain(range(1, min((B - n1 * n2) // k1, n) + 1), range(max(B // k1 + 1, 1), n1)):
+        fq, fr = divmod(tnum0 + y * k1, n1)
+        xq, xr = divmod(y * k1 + k1, n2)
+        if fq > xq:
+            # falls at xq = r + 1 <= i < floor(t)
+            start, stop = xq, fq
+        else:
+            # rises at ceil(t) <= i <= r, the tie at r excluded
+            start, stop = fq + (fr > 0), xq - (xr == 0)
+        start, stop = max(start, y - n + k, 0), min(stop, y, k)
+        if start < stop:
+            yield y, start, stop
 
 
 def verify_half_flip_pick_bounds(n: int) -> HalfPickCertificate:
@@ -670,6 +687,11 @@ def verify_pick_fraction_bounds(n_max: int, parts=tuple(range(1, 10))) -> PickBo
     pmf rises at i <= r = (yk - n + y + k - 1) // (n + 2) and falls above;
     the contradicted i form an integer range below or above r, counted by
     its length, and a tie at i(n + 2) = yk - n + y + k - 1 contradicts none.
+    _mode_bad_ranges yields each (n, k)'s nonempty ranges along y, and
+    visits only the y where the threshold and the ratio-test boundary
+    (y + 1)(k + 1)/(n + 2) lie far enough apart for a range to be nonempty:
+    at the nominal threshold that is no y, so the part-1 cells are settled
+    by two integer bounds per (n, k), with no test of their own.
 
     Parts 2-9 share one sum per cell, s(y) = sum of C(y,i) C(n-y,k-i) over
     ceil(yk/2n) <= i <= y//2 (the lower limit is 1 wherever yk < 2n), and
@@ -709,12 +731,10 @@ def verify_pick_fraction_bounds(n_max: int, parts=tuple(range(1, 10))) -> PickBo
             checked[1] += n // 2 * n
         for k in range(1, n // 2 + 1):
             if want_mode:
-                for y in range(1, n + 1):
-                    start, stop = _mode_bad_range(n, k, y, y * k - n + y + k, n + 1)
-                    if start < stop:
-                        bad = range(start, stop)
-                        nviol[1] += len(bad)
-                        samples[1] += [(n, k, y, i) for i in bad[: _SAMPLE_CAP - len(samples[1])]]
+                for y, start, stop in _mode_bad_ranges(n, k, k - n):
+                    bad = range(start, stop)
+                    nviol[1] += len(bad)
+                    samples[1] += [(n, k, y, i) for i in bad[: _SAMPLE_CAP - len(samples[1])]]
             if not want_sum:
                 continue
             C = rows[n][k]

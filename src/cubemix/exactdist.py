@@ -16,18 +16,25 @@ moves by an amount linear in i (flip k - 2i, touched k - i, support
 b - i); _pick_kernel builds all three, and the coupling kernel composes
 the lazy flip kernel's rows.
 
-Every kernel is integer numerators over one denominator, and so is
-every exact distance: each reduction sums integers and builds a single
-Fraction at the end.  evolve() steps along a kernel's few nonzero
-diagonals (from w the flip walk reaches only w + k - 2i).  Exact
-evolution keeps plain int lists over (step_denominator)^l, avoiding the
-per-addition gcd work of Fractions; float evolution, for walks beyond
-EXACT_BACKEND_MAX_N, steps the same diagonals in float64, so mass is kept
-to rounding.  A pick-law kernel's float diagonals come from a float64
-table of the pick law (_pick_law_floats), so a float curve forms no big
-integer; any other kernel's are its integers divided out once.  Both
-backends reduce against the one exact table per (n, m), the support-size
-counts C(n,s)(m-1)^s of spectrum._zmn_multiplicities, whose other forms
+Every kernel is integer numerators over one denominator, and so is every
+exact distance: each reduction sums integers and builds a single
+Fraction at the end.  The exact TV needs only the sign of each weight's
+excess over the uniform profile, since both laws have mass 1: it reads
+the sign from logs (the table's log row, no numpy), settles the few
+weights whose logs fall within rounding of a tie by the exact product,
+and multiplies two sums by the denominators: a few big products per
+reduction instead of two per weight.  evolve() steps along a kernel's
+few nonzero diagonals (from w the flip walk reaches only w + k - 2i).
+Exact evolution keeps plain int lists over (step_denominator)^l,
+avoiding the per-addition gcd work of Fractions, and sums a step's
+zero-padded diagonal products in one lazy pass that builds one list per
+step; float evolution, for walks beyond EXACT_BACKEND_MAX_N, steps the
+same diagonals in float64, so mass is kept to rounding.  A pick-law
+kernel's float diagonals come from a float64 table of the pick law
+(_pick_law_floats), so a float curve forms no big integer; any other
+kernel's are its integers divided out once.  Both backends reduce
+against the one exact table per (n, m), the support-size counts
+C(n,s)(m-1)^s of spectrum._zmn_multiplicities, whose other forms
 spectrum also keeps, so this module builds no table: exact l2 reads its
 cofactors, float TV its correctly rounded profile and float l2 its logs,
 which stay finite where the profile's tail underflows.  The float
@@ -47,6 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from operator import add, mul
 from typing import TYPE_CHECKING
 
@@ -57,6 +65,7 @@ from .spectrum import (
     WalkSpec,
     _cofactors,
     _log_multiplicities,
+    _log_multiplicity_row,
     _uniform_weight_float,
     _zmn_multiplicities,
     cube_eigen_numerators,
@@ -64,6 +73,10 @@ from .spectrum import (
 
 if TYPE_CHECKING:
     import numpy as np
+
+# Relative width of the band in which tv_to_uniform's log test defers to the
+# exact product: math.log of an int is within about 1e-16 of its magnitude.
+_SIGN_TOL = 1e-12
 
 
 class WeightDistribution:
@@ -80,7 +93,7 @@ class WeightDistribution:
                 raise ValueError(f"expected {n + 1} entries, got {len(nums)}")
             if sum(nums) != den:
                 raise ValueError("exact WeightDistribution does not sum to 1")
-            if any(v < 0 for v in nums):
+            if min(nums) < 0:
                 raise ValueError("negative mass in WeightDistribution")
             self.exact = True
             self.nums = list(nums)
@@ -333,12 +346,15 @@ def evolve(dist: WeightDistribution, kernel: WeightKernel, steps: int) -> Weight
         raise ValueError(f"size mismatch: distribution n={dist.n}, kernel n={kernel.n}")
     diags = kernel.diagonals(dist.exact)
     if dist.exact:
-        vec = dist.nums
+        size, vec = dist.n + 1, dist.nums
         for _ in range(steps):
-            new = [0] * (dist.n + 1)
+            # each diagonal's products, zero-padded to the whole target range,
+            # summed entry by entry in one lazy pass that builds one list
+            total = None
             for d, lo, hi, c in diags:
-                new[lo + d : hi + d] = map(add, new[lo + d : hi + d], map(mul, vec[lo:hi], c))
-            vec = new
+                terms = chain(repeat(0, lo + d), map(mul, vec[lo:hi], c), repeat(0, size - hi - d))
+                total = terms if total is None else map(add, total, terms)
+            vec = list(total)
         return WeightDistribution(dist.n, nums=vec, den=dist.den * kernel.den**steps)
     import numpy as np
 
@@ -361,10 +377,25 @@ def tv_to_uniform(dist: WeightDistribution, m: int = 2):
     """
     n = dist.n
     if dist.exact:
-        scale = m**n
+        # Both laws have mass 1, so the TV is the excess of dist over the
+        # uniform profile on A = {s : v_s m^n > c_s den}.  Each sign is read
+        # from logs, ln v - ln c against ln den - n ln m; every log is within
+        # a few ulp of its magnitude, all at most ln den + n ln m (v <= den,
+        # c <= m^n), and only a gap inside the band around that is settled
+        # by the exact product.
+        nums, den, scale = dist.nums, dist.den, m**n
         mult = _zmn_multiplicities(n, m)
-        s = sum(abs(v * scale - mult[w] * dist.den) for w, v in enumerate(dist.nums))
-        return Fraction(s, 2 * dist.den * scale)
+        ld, lscale = math.log(den), n * math.log(m)
+        band = _SIGN_TOL * (2 * ld + lscale + 1)
+        above, below = ld - lscale + band, ld - lscale - band
+        sv = sc = 0
+        for v, lc, c in zip(nums, _log_multiplicity_row(n, m), mult):
+            if v:
+                gap = math.log(v) - lc
+                if gap > above or (gap >= below and v * scale > c * den):
+                    sv += v
+                    sc += c
+        return Fraction(sv * scale - sc * den, den * scale)
     # a TV is at most 1; float evolution keeps mass only to a few ulp, so a
     # sum above 1 is rounding, and 1.0 is nearer the exact value (min with
     # the sum first lets a nan through)

@@ -16,8 +16,9 @@ table per (n, m), _zmn_multiplicities (the cube is m = 2), which is also
 the uniform law's support-size profile that exactdist reduces against.
 Its other forms are derived here from the same integers: _cofactors (each
 1/c over one lcm, for exact l2), _uniform_weight_float (each c / m^n,
-correctly rounded, for float TV) and _log_multiplicities (math.log of each
-c, for float l2 and the float curve).  _l2_curve yields the l2 sum for
+correctly rounded, for float TV), _log_multiplicity_row (math.log of each
+c, for the exact TV's sign pass) and _log_multiplicities (the same logs as
+an array, for float l2 and the float curve).  _l2_curve yields the l2 sum for
 l = start, start + 1, ...: exactly, by carrying each term's power forward,
 one multiplication by a small squared numerator per term and step; or in
 floats, as one numpy log-space sum per l over the per-level log arrays
@@ -158,14 +159,23 @@ def _uniform_weight_float(n: int, m: int = 2):
 
 
 @functools.lru_cache(maxsize=8)
+def _log_multiplicity_row(n: int, m: int) -> tuple[float, ...]:
+    """math.log of each _zmn_multiplicities(n, m) entry, as a tuple of floats.
+
+    The exact TV's sign pass reads it without loading numpy.
+    """
+    return tuple(map(math.log, _zmn_multiplicities(n, m)))
+
+
+@functools.lru_cache(maxsize=8)
 def _log_multiplicities(n: int, m: int):
-    """math.log of each _zmn_multiplicities(n, m) entry, as a read-only float64 array.
+    """_log_multiplicity_row(n, m) as a read-only float64 array.
 
     Float l2 works in logs: above n = 1074 the tail of C(n,w) / 2^n is 0.0.
     """
     import numpy as np
 
-    out = np.array([math.log(c) for c in _zmn_multiplicities(n, m)])
+    out = np.array(_log_multiplicity_row(n, m))
     out.flags.writeable = False
     return out
 

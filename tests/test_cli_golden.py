@@ -108,6 +108,22 @@ def test_couple_bytes_are_pinned_at_bench_size(argv, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == COUPLE_AT_BENCH_SIZE[argv]
 
 
+# The tv digests above stop at n = 24.  These pin the exact tv files at the
+# benchmark's sizes (the same digests as bench/reference.json), where the
+# exact TV's sign pass meets 200 weights of integers thousands of bits long.
+TV_AT_BENCH_SIZE = {
+    "tv --n 200 --k 5 --steps 130": "5cb2b371edcfe338ad9dd25c784cf8f17fc0715a18d29a0793737c0c2823618d",
+    "tv --n 40 --m 3 --k 3 --steps 50": "5c4bab34d405c702a52f74db462988f6d206c5f5e47659cb697e137902b42f58",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TV_AT_BENCH_SIZE))
+def test_tv_bytes_are_pinned_at_bench_size(argv, tmp_path):
+    out = tmp_path / "tv.csv"
+    assert main(argv.split() + ["--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TV_AT_BENCH_SIZE[argv]
+
+
 # The digests above pin the general sweep only up to n = 30.  These pin it at
 # the benchmark's size (n-max 80) and at the README's (150), where every
 # part's minimum and violation samples come from large binomials; the

@@ -27,7 +27,7 @@ from cubemix import coupling
 from cubemix.coupling import (
     _draw_mask,
     _even_x2_flipset,
-    _mode_bad_range,
+    _mode_bad_ranges,
     _overlap_mass,
     _pick_sums,
     _sample_pool,
@@ -627,9 +627,8 @@ def test_mode_ranges_match_per_i_oracle(mode_oracle_50):
     got = {shift: [] for shift in _SHIFTS}
     for n in range(2, 51):
         for k in range(1, n // 2 + 1):
-            for y in range(1, n + 1):
-                for shift, bad in got.items():
-                    start, stop = _mode_bad_range(n, k, y, y * k - n + y + k + shift, n + 1)
+            for shift, bad in got.items():
+                for y, start, stop in _mode_bad_ranges(n, k, k - n + shift):
                     bad += [(n, k, y, i) for i in range(start, stop)]
     assert got == mode_oracle_50
     counts = {shift: len(bad) for shift, bad in mode_oracle_50.items()}
@@ -641,7 +640,7 @@ def test_mode_report_under_mutated_threshold(shift, mode_oracle_50, monkeypatch)
     # moving the threshold makes part 1 report violations, so its counting
     # and sampling run; the shift is applied through the decision helper
     monkeypatch.setattr(
-        coupling, "_mode_bad_range", lambda n, k, y, tnum, tden: _mode_bad_range(n, k, y, tnum + shift, tden)
+        coupling, "_mode_bad_ranges", lambda n, k, tnum0: _mode_bad_ranges(n, k, tnum0 + shift)
     )
     (report,) = verify_pick_fraction_bounds(50, parts=(1,)).reports
     bad = mode_oracle_50[shift]

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import cubemix
+from cubemix import exactdist
 from cubemix import (
     EXACT_BACKEND_MAX_N,
     CyclicWalkSpec,
@@ -20,6 +21,7 @@ from cubemix import (
     WeightDistribution,
     brute_force_curve,
     brute_force_dist,
+    coupling_weight_kernel,
     evolve,
     flip_weight_kernel,
     full_transition_matrix,
@@ -595,3 +597,93 @@ def test_zmn_exact_tv_matches_fraction_oracle():
                     assert got == _fraction_zmn_tv(prof, m), (n, m, k, l)
                     assert tv_to_uniform(support[m], m) == got, (n, m, k, l)
                 prof = evolve(prof, kern, 1)
+
+
+def _abs_sum_tv(dist, m=2):
+    """Reference exact TV: the per-weight sum of |v m^n - C(n,w)(m-1)^w den| / (2 den m^n)."""
+    n, den, scale = dist.n, dist.den, m**dist.n
+    s = sum(abs(v * scale - math.comb(n, w) * (m - 1) ** w * den) for w, v in enumerate(dist.nums))
+    return Fraction(s, 2 * den * scale)
+
+
+def _sign_pass_curves(n_values, lmax, seed):
+    """(label, dist, m) along flip curves for p in {0, 1/3, 1/2}, each reduced
+    against m in {2, 3, 5}, and along support curves for m in {3, 5}; one
+    seeded k per curve, every l <= lmax."""
+    rng = random.Random(seed)
+    for n in n_values:
+        for p in (0, Fraction(1, 3), HALF):
+            kern = flip_weight_kernel(WalkSpec(n, rng.randint(1, n), p))
+            for l, dist in enumerate(_curve(kern, lmax)):
+                for m in (2, 3, 5):
+                    yield (n, p, m, l), dist, m
+        for m in (3, 5):
+            kern = support_weight_kernel(CyclicWalkSpec(n, m, rng.randint(1, n)))
+            for l, dist in enumerate(_curve(kern, lmax)):
+                yield (n, "support", m, l), dist, m
+
+
+def test_tv_sign_pass_matches_abs_sum_oracle():
+    # the curves include the zero entries of early steps (weights not yet
+    # reached) and the parity zeros of p = 0
+    for label, dist, m in _sign_pass_curves(range(1, 41), 60, 20261019):
+        assert tv_to_uniform(dist, m) == _abs_sum_tv(dist, m), label
+
+
+def test_tv_sign_pass_settles_every_weight_exactly_with_an_infinite_band(monkeypatch):
+    # with no band every nonzero weight takes the exact comparison
+    monkeypatch.setattr(exactdist, "_SIGN_TOL", math.inf)
+    for label, dist, m in _sign_pass_curves(range(1, 41, 3), 30, 7):
+        assert tv_to_uniform(dist, m) == _abs_sum_tv(dist, m), label
+
+
+def test_tv_sign_pass_exact_ties():
+    # at n = 2, k = 1, p = 1/2, step 1, weight 1 has mass 1/2, exactly uniform
+    d1 = evolve(WeightDistribution.delta(2), flip_weight_kernel(WalkSpec(2, 1)), 1)
+    assert d1.nums[1] * 4 == 2 * d1.den
+    assert tv_to_uniform(d1) == _abs_sum_tv(d1) == Fraction(1, 4)
+    # the binomial start is stationary: every weight is a tie, far beyond
+    # the float profile's range too
+    for n, k in ((40, 7), (1100, 3)):
+        dist = evolve(WeightDistribution.binomial(n), flip_weight_kernel(WalkSpec(n, k)), 2)
+        assert tv_to_uniform(dist) == 0
+
+
+def test_tv_sign_pass_skips_zero_weights():
+    # a zero weight is never in the excess set, however small its uniform mass
+    for n in (5, 60, 1100):
+        for w in (0, n // 2, n):
+            dist = WeightDistribution.delta(n, w)
+            assert tv_to_uniform(dist) == _abs_sum_tv(dist), (n, w)
+    dist = WeightDistribution(6, nums=[0, 0, 3, 0, 5, 0, 0], den=8)
+    for m in (2, 3, 5):
+        assert tv_to_uniform(dist, m) == _abs_sum_tv(dist, m), m
+
+
+def _row_step(nums, rows):
+    """One step of the kernel as new[t] = sum over w of rows[w][t] nums[w], entry by entry."""
+    n = len(nums) - 1
+    return [sum(rows[w].get(t, 0) * nums[w] for w in range(n + 1)) for t in range(n + 1)]
+
+
+def test_exact_evolve_matches_row_dict_oracle():
+    # the oracle reads each kernel's rows, never its diagonals
+    rng = random.Random(22)
+    for n in range(1, 31):
+        k = rng.randint(1, n)
+        kernels = [
+            flip_weight_kernel(WalkSpec(n, k, rng.choice([0, Fraction(1, 3), HALF]))),
+            touched_weight_kernel(CyclicWalkSpec(n, 3, k)),
+            support_weight_kernel(CyclicWalkSpec(n, rng.choice([2, 3, 5]), k)),
+        ]
+        kernels.append(coupling_weight_kernel(WalkSpec(n, rng.randrange(1, n + 1, 2))))
+        for kern in kernels:
+            start = rng.randrange(n + 1)
+            dist = WeightDistribution.delta(n, start)
+            nums, den = dist.nums, 1
+            for _ in range(20):
+                dist = evolve(dist, kern, 1)
+                nums, den = _row_step(nums, kern.rows), den * kern.den
+                assert (dist.nums, dist.den) == (nums, den), (n, k, start)
+            whole = evolve(WeightDistribution.delta(n, start), kern, 20)
+            assert (whole.nums, whole.den) == (nums, den), (n, k, start)
