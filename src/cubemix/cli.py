@@ -121,18 +121,14 @@ def _emit(args, default_stem: str, payload: dict, rows: list[dict] | None = None
     print(f"wrote {path}")
 
 
-def _use_exact(backend: str, n: int) -> bool:
-    from .numerics import EXACT_BACKEND_MAX_N
-
-    return backend == "exact" or (backend == "auto" and n <= EXACT_BACKEND_MAX_N)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _walk(args):
-    """(spec, header) of the walk the flags name: the cyclic walk with --m, else the cube."""
+    """(spec, header, exact) of the walk the flags name: the cyclic walk with
+    --m, else the cube, and whether --backend runs it on rationals."""
+    from .numerics import use_exact
     from .spectrum import CyclicWalkSpec, WalkSpec
 
     n = _need(args, "n", *_POSITIVE)
@@ -144,14 +140,14 @@ def _walk(args):
         raise ValueError("--p is the cube walk's hold probability; the cyclic walk has none")
     else:
         spec = CyclicWalkSpec(n, _need(args, "m", *_MODULUS), k)
-    return spec, {"kind": "cube" if args.m is None else "cyclic", **_sanitize(spec)}
+    header = {"kind": "cube" if args.m is None else "cyclic", **_sanitize(spec)}
+    return spec, header, use_exact(n, args.backend)
 
 
 def _cmd_spectrum(args) -> int:
     from .spectrum import _spectrum
 
-    exact = _use_exact(args.backend, args.n)
-    spec, walk = _walk(args)
+    spec, walk, exact = _walk(args)
     table = _spectrum(spec)
     rows = [
         {
@@ -188,11 +184,9 @@ def _cmd_tv(args) -> int:
         raise ValueError(f"tv requires --steps >= 0, got --steps={args.steps}")
     # each walk supplies its kernels, each stepping one point start once per
     # l, and its row columns; the l2 column is read from eigenvalue powers
-    spec, walk = _walk(args)
+    spec, walk, exact = _walk(args)
     if args.m is not None:
-        # TV reads the support-size chain, separation the touched-count one;
-        # auto stays exact at every n
-        exact = args.backend != "float"
+        # TV reads the support-size chain, separation the touched-count one
         kernels = (support_weight_kernel(spec), touched_weight_kernel(spec))
         exact_columns = ("tv", "separation_tail")
 
@@ -201,7 +195,6 @@ def _cmd_tv(args) -> int:
             return {"tv": tv, "separation_tail": separation_tail(touched), "l2_sq_bound": next(l2s)}
 
     else:
-        exact = _use_exact(args.backend, args.n)
         kernels = (flip_weight_kernel(spec),)
         exact_columns = ("tv", "l2_sq")
 
@@ -341,21 +334,23 @@ def _cmd_bounds(args) -> int:
 def _cmd_couple(args) -> int:
     from .coupling import coupling_tail_curve, simulate_coupling
 
-    spec, walk = _walk(args)
+    spec, walk, exact = _walk(args)
     _need(args, "k", lambda k: k % 2 == 1, "an odd integer")
     _need(args, "trials", *_POSITIVE)
     _need(args, "steps", lambda l: l >= 0, "an integer >= 0")
+    # the simulator counts the trials ending at each step in one list of steps + 2
+    _need(args, "steps", lambda l: l <= sys.maxsize - 2, f"an integer <= {sys.maxsize - 2}")
     report = simulate_coupling(spec, trials=args.trials, max_steps=args.steps, seed=args.seed)
-    exact = coupling_tail_curve(spec, args.steps)
+    # exact_tail is the absorbing chain's, in the arithmetic use_exact picks
     rows = [
         {
             "l": l,
             "mc_survivors": report.survivors[l],
             "mc_tail": report.tail(l),
-            "exact_tail": float(exact[l]),
-            "exact_tail_exact": exact[l],
+            "exact_tail": float(tail),
+            **({"exact_tail_exact": tail} if exact else {}),
         }
-        for l in range(args.steps + 1)
+        for l, tail in enumerate(coupling_tail_curve(spec, args.steps))
     ]
     payload = {
         "walk": walk,
@@ -547,8 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=50)
     _add_common(p, "csv")
-    # the half-lazy cube walk: _walk reads no --m or --p here
-    p.set_defaults(func=_cmd_couple, m=None, p=None)
+    # the half-lazy cube walk; no --m, --p or --backend flag: _walk reads these
+    p.set_defaults(func=_cmd_couple, m=None, p=None, backend="auto")
 
     p = sub.add_parser("verify", help="exact lemma certificates")
     p.add_argument("--lemma", required=True, choices=tuple(_LEMMAS))

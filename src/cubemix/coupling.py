@@ -44,7 +44,7 @@ from itertools import accumulate, chain, combinations
 from operator import mul, sub
 from typing import TYPE_CHECKING
 
-from .numerics import LN2_LO, binom_row, cmp_ratio_with_ln2, hypergeom_numerators
+from .numerics import LN2_LO, binom_row, cmp_ratio_with_ln2, hypergeom_numerators, use_exact
 
 # the exact kernels are imported where they are used, so the verifiers load
 # neither exactdist nor spectrum
@@ -269,18 +269,26 @@ def coupling_weight_kernel(spec: WalkSpec) -> WeightKernel:
     return WeightKernel(n, rows=rows, den=den)
 
 
-def coupling_tail_curve(spec: WalkSpec, lmax: int) -> list[Fraction]:
-    """[P(T > l) for l = 0..lmax], exact, x2 started uniform (y0 binomial)."""
+def coupling_tail_curve(spec: WalkSpec, lmax: int) -> list[Fraction] | list[float]:
+    """[P(T > l) for l = 0..lmax], x2 started uniform (y0 binomial).
+
+    Fractions up to EXACT_BACKEND_MAX_N coordinates, floats above it.  A
+    float tail sums the surviving mass vec[1:], not 1 - vec[0], so a small
+    tail keeps its relative accuracy; it is clamped at 1 as float TV is.
+    """
     from .exactdist import WeightDistribution, evolve
 
     if lmax < 0:
         raise ValueError(f"coupling_tail_curve requires lmax >= 0, got {lmax}")
     kernel = coupling_weight_kernel(spec)
     dist = WeightDistribution.binomial(spec.n)
-    out = [1 - dist.prob(0)]
-    for _ in range(lmax):
-        dist = evolve(dist, kernel, 1)
-        out.append(1 - dist.prob(0))
+    if not use_exact(spec.n):
+        dist = dist.to_float()
+    out = []
+    for l in range(lmax + 1):
+        if l:
+            dist = evolve(dist, kernel, 1)
+        out.append(1 - dist.prob(0) if dist.exact else min(float(dist.vec[1:].sum()), 1.0))
     return out
 
 

@@ -15,8 +15,9 @@ Two numeric regimes are used throughout the package:
     leaves float range itself.
 
 All logarithms are natural logs.  The crossover between the two regimes is
-EXACT_BACKEND_MAX_N, fixed: the automatic backend choices (the CLI's and
-the l2 bounds') and spectral_dist's exact-only limit all compare against it.
+EXACT_BACKEND_MAX_N, fixed.  use_exact is the one backend rule that every
+automatic choice goes through (the CLI's, the l2 bounds', the coupling
+tail curve's); only spectral_dist's exact-only limit reads the cutoff itself.
 """
 
 from __future__ import annotations
@@ -30,6 +31,12 @@ from functools import lru_cache
 # curve evaluation on walks with thousands of coordinates falls back to
 # log-space floats.
 EXACT_BACKEND_MAX_N = 400
+
+
+def use_exact(n: int, backend: str = "auto") -> bool:
+    """Whether backend exact, float or auto runs on rationals: auto up to n = EXACT_BACKEND_MAX_N."""
+    return backend == "exact" or (backend == "auto" and n <= EXACT_BACKEND_MAX_N)
+
 
 # Two-sided rational brackets for ln 2, used to decide q <=> ln 2 exactly for
 # rational q whose denominator is far smaller than the bracket width (1e-38).

@@ -26,9 +26,9 @@ floats, as one numpy log-space sum per l over the per-level log arrays
 the curve started at l, so bound and curve share one body per backend.
 From a point start it is the chi-square curve, so the CLI's tv curves of
 both walks and both backends read their l2 column from it.  Exact
-rational spectra are the default up to EXACT_BACKEND_MAX_N coordinates;
-beyond that, per-l bounds switch to the float sum.  numpy is imported
-only by the float sums and the float tables.
+rational spectra are the default up to EXACT_BACKEND_MAX_N coordinates
+(numerics.use_exact); beyond that, per-l bounds switch to the float sum.
+numpy is imported only by the float sums and the float tables.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .krawtchouk import kraw_half
-from .numerics import EXACT_BACKEND_MAX_N, sum_exp
+from .numerics import sum_exp, use_exact
 
 
 @dataclass(frozen=True)
@@ -250,12 +250,10 @@ def zmn_l2_upper_bound(cspec: CyclicWalkSpec, l: int, exact: bool | None = None)
 
 
 def _l2_sum(spec, l: int, exact: bool | None, op: str):
-    """_l2_curve(spec, exact, start=l)'s first value; exact up to EXACT_BACKEND_MAX_N by default."""
+    """_l2_curve(spec, exact, start=l)'s first value; by default exact as use_exact rules."""
     if l < 0:
         raise ValueError(f"{op} requires l >= 0, got l={l}")
-    if exact is None:
-        exact = spec.n <= EXACT_BACKEND_MAX_N
-    return next(_l2_curve(spec, exact, l))
+    return next(_l2_curve(spec, use_exact(spec.n) if exact is None else exact, l))
 
 
 def _log_levels(spec):

@@ -96,7 +96,7 @@ def test_tv_cube_float_column_is_inf_beyond_float_range(tmp_path):
 def test_tv_cyclic_float_column_is_inf_beyond_float_range(tmp_path):
     # the cyclic l2 bound at l = 0 is 3^700 - 1
     out = tmp_path / "tvc.json"
-    argv = ["tv", "--n", "700", "--m", "3", "--k", "3", "--steps", "2", "--format", "json"]
+    argv = ["tv", "--n", "700", "--m", "3", "--k", "3", "--steps", "2", "--format", "json", "--backend", "exact"]
     assert main(argv + ["--output", str(out)]) == 0
     rows = json.loads(out.read_text())["rows"]
     assert [r["l2_sq_bound"] for r in rows] == ["inf"] * 3
@@ -343,6 +343,24 @@ def test_bounds_csv_flatten(tmp_path):
     assert any(row.startswith("half-flip,skipped") for row in lines[1:])
 
 
+@pytest.mark.parametrize("n,backend", [(400, "exact"), (401, "float")])
+def test_auto_backend_is_exact_up_to_the_cutoff_for_every_stepping_command(n, backend, tmp_path):
+    # one rule: auto gives the bytes of --backend exact up to n = 400 and of
+    # --backend float above it, on both walks; couple has no flag and keeps
+    # its exact column only where the rule is exact
+    auto, chosen = tmp_path / "auto.csv", tmp_path / "chosen.csv"
+    for walk in ([], ["--m", "3"]):
+        argv = ["tv", "--n", str(n), "--k", "3", "--steps", "3", *walk]
+        assert main(argv + ["--output", str(auto)]) == 0
+        assert main(argv + ["--backend", backend, "--output", str(chosen)]) == 0
+        assert auto.read_bytes() == chosen.read_bytes(), walk
+    out = tmp_path / "couple.csv"
+    assert main(["couple", "--n", str(n), "--k", "3", "--trials", "20", "--steps", "5", "--output", str(out)]) == 0
+    header = _lines(out)[0].split(",")
+    assert header[:4] == ["l", "mc_survivors", "mc_tail", "exact_tail"]
+    assert ("exact_tail_exact" in header) == (backend == "exact")
+
+
 def test_couple_outputs_and_consistency(tmp_path):
     out = tmp_path / "couple.csv"
     code = main(
@@ -502,6 +520,9 @@ def test_verify_parts_errors_name_the_flag(parts, tmp_path, capsys):
         (["couple", "--n", "8", "--k", "2"], "--k expects an odd integer, got 2"),
         (["couple", "--n", "8", "--k", "3", "--trials", "0"], "--trials expects an integer >= 1, got 0"),
         (["couple", "--n", "8", "--k", "3", "--steps", "-1"], "--steps expects an integer >= 0, got -1"),
+        # beyond an index-sized integer, refused before the simulator allocates anything
+        (["couple", "--n", "8", "--k", "3", "--steps", "100000000000000000000"],
+         f"--steps expects an integer <= {sys.maxsize - 2}, got 100000000000000000000"),
         (["tv", "--n", "5", "--m", "3", "--k", "2", "--p", "1/3", "--steps", "1"],
          "--p is the cube walk's hold probability; the cyclic walk has none"),
         (["spectrum", "--n", "5", "--m", "3", "--k", "2", "--p", "1/3"],
@@ -532,7 +553,8 @@ def test_verify_parts_errors_name_the_flag(parts, tmp_path, capsys):
          "--c expects a number >= 0 for the cyclic and comparison bounds, got -1.0"),
     ],
     ids=["probineq-n", "eig34-n", "symmetry-n", "marginal-n", "marginal-k", "couple-k", "couple-trials",
-         "couple-steps", "tv-cyclic-p", "spectrum-cyclic-p", "spectrum-cyclic-default-p", "tv-k", "tv-cyclic-k",
+         "couple-steps", "couple-steps-beyond-index", "tv-cyclic-p", "spectrum-cyclic-p",
+         "spectrum-cyclic-default-p", "tv-k", "tv-cyclic-k",
          "couple-k-range", "spectrum-m", "tv-n", "spectrum-p", "tv-p", "bounds-n-zero", "bounds-n-negative",
          "bounds-m", "bounds-k-zero", "bounds-k-above-n", "spectrum-p-negative-spaced",
          "spectrum-p-negative-equals", "tv-p-negative-spaced", "tv-p-negative-equals", "bounds-c-coupling",

@@ -12,9 +12,11 @@ from cubemix import (
     CoupledState,
     CouplingTailReport,
     WalkSpec,
+    WeightDistribution,
     coupled_step,
     coupling_tail_curve,
     coupling_weight_kernel,
+    evolve,
     expected_coupling_time,
     marginal_check,
     simulate_coupling,
@@ -277,6 +279,30 @@ def test_coupling_tail_curve_frozen_tiny_case():
     assert coupling_tail_curve(WalkSpec(2, 1), 5)[5] == Fraction(1, 16)
     with pytest.raises(ValueError):
         coupling_tail_curve(WalkSpec(2, 1), -1)
+
+
+def test_float_coupling_tail_matches_exact(monkeypatch):
+    # above EXACT_BACKEND_MAX_N the curve evolves the binomial start in
+    # floats; forced below it, the float curve tracks the exact one to
+    # rounding, and a small tail keeps its relative accuracy
+    above = coupling_tail_curve(WalkSpec(5000, 5), 10)
+    # unclamped, the sum of vec[1:] reads 1.0000000000000002 at l = 9
+    assert all(type(v) is float and 0 <= v <= 1 for v in above)
+    cases = {9: (1, 3), 40: (1, 3, 5, 9, 19), 101: (1, 5, 9), 400: (1, 3)}
+    exact = {(n, k): coupling_tail_curve(WalkSpec(n, k), 200) for n, ks in cases.items() for k in ks}
+    # at l = 1500 the tail is 7.6e-48, where 1 - vec[0] is off by 1e32 relative
+    far_spec = WalkSpec(40, 3)
+    far = 1 - evolve(WeightDistribution.binomial(40), coupling_weight_kernel(far_spec), 1500).prob(0)
+    monkeypatch.setattr(coupling, "use_exact", lambda n: False)
+    for (n, k), want in exact.items():
+        got = coupling_tail_curve(WalkSpec(n, k), 200)
+        for l, (g, w) in enumerate(zip(got, want, strict=True)):
+            assert type(g) is float
+            err = abs(g - float(w))
+            assert err <= 1e-12 and (not w or err <= 1e-11 * float(w)), (n, k, l, g, w)
+    got = coupling_tail_curve(far_spec, 1500)[-1]
+    assert 0 < float(far) < 1e-47
+    assert abs(got - float(far)) <= 1e-11 * float(far)
 
 
 def test_expected_coupling_time_tiny_case():
