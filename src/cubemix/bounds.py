@@ -1,9 +1,10 @@
 """Closed-form step-count bounds and moment formulas for the k-flip walk.
 
-Every step-count evaluator returns a BoundReport carrying both the raw real
-value and its ceiling, the quantity the bound controls, and the logarithm
-convention (always natural here; printed folklore values for these walks
-sometimes use other bases, so the convention is explicit data).
+Every step-count evaluator returns a BoundReport (a NamedTuple, as are the
+other records here) carrying both the raw real value and its ceiling, the
+quantity the bound controls, and the logarithm convention (always natural
+here; printed folklore values for these walks sometimes use other bases, so
+the convention is explicit data).
 
 Two families:
 
@@ -24,16 +25,15 @@ tried reconciles them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .spectrum import WalkSpec, cube_eigen_numerators
 
 SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     op: str
     variant: str
     params: dict
@@ -45,8 +45,7 @@ class BoundReport:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class MomentPair:
+class MomentPair(NamedTuple):
     mean: float
     variance: float
 
@@ -110,8 +109,7 @@ def coupling_upper_bound_steps(n: int, k: int, c: float, variant: str = "stated"
     )
 
 
-@dataclass(frozen=True)
-class ReportedStepsRow:
+class ReportedStepsRow(NamedTuple):
     n: int
     k: int
     reported: int

@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
-import json
 import math
 import os
 import re
@@ -69,8 +67,8 @@ def _sanitize(obj):
     """Recursively convert to JSON-encodable data with stable key order."""
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _sanitize(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if hasattr(obj, "_asdict"):
+        return {k: _sanitize(v) for k, v in obj._asdict().items()}
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -107,9 +105,13 @@ def _emit(args, default_stem: str, payload: dict, rows: list[dict] | None = None
         os.environ.get(OUTPUT_DIR_ENV, "."), f"{default_stem}.{args.format}"
     )
     if args.format == "json":
+        import json
+
         text = json.dumps(_sanitize(payload), indent=2) + "\n"
     else:
         if rows is None:
+            import json
+
             rows = [{"field": k, "value": json.dumps(_sanitize(v))} for k, v in payload.items()]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -287,9 +289,7 @@ def _cmd_bounds(args) -> int:
         skipped("cyclic", "requires --m")
         skipped("comparison", "requires --m")
 
-    table = [
-        dataclasses.asdict(row) for row in reported_steps_comparison()
-    ]
+    table = [row._asdict() for row in reported_steps_comparison()]
     payload = {
         "params": {
             "n": n,

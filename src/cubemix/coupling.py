@@ -25,7 +25,7 @@ rng.sample(range(n), k) would.
 
 The verifiers at the bottom certify, in exact arithmetic, the hypergeometric
 pick-probability inequalities that drive the coupling time analysis, and
-report every counterexample they find rather than hiding it.  The
+report every counterexample they find, in NamedTuple records.  The
 all-(n, k) sweep steps one running pair of hypergeometric CDFs along y per
 (n, k) instead of summing a window of the pmf per cell, so a cell costs at
 most two big-integer products, and it checks each claim on a run of y at
@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, combinations
 from operator import mul, sub
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .numerics import LN2_LO, binom_row, cmp_ratio_with_ln2, hypergeom_numerators, use_exact
 
@@ -56,19 +55,19 @@ MARGINAL_CHECK_MAX_N = 8
 EXACT_SOLVE_MAX_N = 64
 
 
-@dataclass(frozen=True)
-class CoupledState:
-    """Positions of both chains as n-bit integers; y is cached on build."""
+class CoupledState(NamedTuple("CoupledState", [("n", int), ("x1", int), ("x2", int), ("y", int)])):
+    """Positions of both chains as n-bit integers; y is computed on build."""
 
-    n: int
-    x1: int
-    x2: int
-    y: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.x1 < (1 << self.n)) or not (0 <= self.x2 < (1 << self.n)):
+    def __new__(cls, n: int, x1: int, x2: int):
+        if not (0 <= x1 < (1 << n)) or not (0 <= x2 < (1 << n)):
             raise ValueError("coupled state out of range")
-        object.__setattr__(self, "y", (self.x1 ^ self.x2).bit_count())
+        return super().__new__(cls, n, x1, x2, (x1 ^ x2).bit_count())
+
+    def __getnewargs__(self):
+        # pickle and copy rebuild through __new__, which takes no y
+        return self[:3]
 
     @property
     def coalesced(self) -> bool:
@@ -168,8 +167,7 @@ def coupled_step(spec: WalkSpec, state: CoupledState, rng: random.Random) -> Cou
     return CoupledState(n, x1, x2)
 
 
-@dataclass(frozen=True)
-class MarginalCheckReport:
+class MarginalCheckReport(NamedTuple):
     n: int
     k: int
     masks_checked: int
@@ -288,7 +286,10 @@ def coupling_tail_curve(spec: WalkSpec, lmax: int) -> list[Fraction] | list[floa
     for l in range(lmax + 1):
         if l:
             dist = evolve(dist, kernel, 1)
-        out.append(1 - dist.prob(0) if dist.exact else min(float(dist.vec[1:].sum()), 1.0))
+        if dist.exact:
+            out.append(Fraction(dist.den - dist.nums[0], dist.den))
+        else:
+            out.append(min(float(dist.vec[1:].sum()), 1.0))
     return out
 
 
@@ -349,8 +350,7 @@ def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
     return [m[r][n] for r in range(n)]
 
 
-@dataclass(frozen=True)
-class CouplingTailReport:
+class CouplingTailReport(NamedTuple):
     """Monte Carlo coalescence-time tally.
 
     survivors[l] counts trials with T > l; trials still apart at max_steps
@@ -451,16 +451,14 @@ def simulate_coupling(spec: WalkSpec, trials: int, max_steps: int, seed: int) ->
 # pick-probability certificates
 
 
-@dataclass(frozen=True)
-class HalfPickRow:
+class HalfPickRow(NamedTuple):
     part: int
     y: int
     prob: Fraction
     ok: bool
 
 
-@dataclass(frozen=True)
-class HalfPickCertificate:
+class HalfPickCertificate(NamedTuple):
     """Exact sweep of the two pick-probability claims at k = n/2.
 
     Convention: P(a = i) = C(y,i) C(n-y, n/2-i) / (2 C(n, n/2)); the total
@@ -574,8 +572,7 @@ def verify_half_flip_pick_bounds(n: int) -> HalfPickCertificate:
     )
 
 
-@dataclass(frozen=True)
-class PickPartReport:
+class PickPartReport(NamedTuple):
     part: int
     checked: int
     violations: int
@@ -586,8 +583,7 @@ class PickPartReport:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class PickBoundsCertificate:
+class PickBoundsCertificate(NamedTuple):
     n_max: int
     parts: tuple[int, ...]
     reports: tuple[PickPartReport, ...]

@@ -42,23 +42,22 @@ reductions are numpy array expressions, with no per-weight Python loop.
 Only the float paths (float distributions, evolution and reductions,
 full_transition_matrix) import numpy, so exact work never loads it.
 
-brute_force_dist evolves the full 2^n-state distribution without any
-lumping assumption and exists to certify the lumped chain against direct
-enumeration.  sum_{|s|=k} f(x xor s) is accumulated coordinate by
-coordinate (an exact regrouping of the naive subset sum), which keeps the
-n <= 14 regime tractable at fifty steps.
+brute_force_dist evolves the full 2^n-state distribution (a FullDistribution
+NamedTuple) without any lumping assumption and exists to certify the lumped
+chain against direct enumeration.  sum_{|s|=k} f(x xor s) is accumulated
+coordinate by coordinate (an exact regrouping of the naive subset sum),
+which keeps the n <= 14 regime tractable at fifty steps.  Only the
+character-inversion oracle spectral_dist loads krawtchouk.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, mul
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .krawtchouk import kraw_integer_table
 from .numerics import EXACT_BACKEND_MAX_N, binom_row, hypergeom_numerators, sum_exp
 from .spectrum import (
     CyclicWalkSpec,
@@ -428,8 +427,7 @@ def l2_to_uniform(dist: WeightDistribution, m: int = 2):
 BRUTE_FORCE_MAX_N = 14
 
 
-@dataclass(frozen=True)
-class FullDistribution:
+class FullDistribution(NamedTuple):
     """Exact distribution over all 2^n configurations (numerators / den)."""
 
     n: int
@@ -541,6 +539,8 @@ def spectral_dist(spec: WalkSpec, l: int) -> WeightDistribution:
     alternating sum cancels catastrophically in floats, and the float
     regime is served by evolve() on the lumped kernel instead.
     """
+    from .krawtchouk import kraw_integer_table
+
     n = spec.n
     if n > EXACT_BACKEND_MAX_N:
         raise ValueError(

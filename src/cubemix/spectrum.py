@@ -28,7 +28,9 @@ From a point start it is the chi-square curve, so the CLI's tv curves of
 both walks and both backends read their l2 column from it.  Exact
 rational spectra are the default up to EXACT_BACKEND_MAX_N coordinates
 (numerics.use_exact); beyond that, per-l bounds switch to the float sum.
-numpy is imported only by the float sums and the float tables.
+numpy is imported only by the float sums and the float tables, krawtchouk
+only by the eigenvalue certificate.  Specs, tables and certificates are
+NamedTuples (immutable, equal by value); the specs check in __new__.
 """
 
 from __future__ import annotations
@@ -37,57 +39,50 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-from .krawtchouk import kraw_half
 from .numerics import sum_exp, use_exact
 
 
-@dataclass(frozen=True)
-class WalkSpec:
+class WalkSpec(NamedTuple("WalkSpec", [("n", int), ("k", int), ("p", Fraction)])):
     """Lazy k-flip walk on the n-cube: hold w.p. p, else flip a k-set."""
 
-    n: int
-    k: int
-    p: Fraction = Fraction(1, 2)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p))
-        if self.n < 1:
-            raise ValueError(f"WalkSpec requires n >= 1, got n={self.n}")
-        if not (1 <= self.k <= self.n):
-            raise ValueError(f"WalkSpec requires 1 <= k <= n, got k={self.k}, n={self.n}")
-        if not (0 <= self.p < 1):
-            raise ValueError(f"WalkSpec requires 0 <= p < 1, got p={self.p}")
+    def __new__(cls, n: int, k: int, p=Fraction(1, 2)):
+        p = Fraction(p)
+        if n < 1:
+            raise ValueError(f"WalkSpec requires n >= 1, got n={n}")
+        if not (1 <= k <= n):
+            raise ValueError(f"WalkSpec requires 1 <= k <= n, got k={k}, n={n}")
+        if not (0 <= p < 1):
+            raise ValueError(f"WalkSpec requires 0 <= p < 1, got p={p}")
+        return super().__new__(cls, n, k, p)
 
 
-@dataclass(frozen=True)
-class CyclicWalkSpec:
+class CyclicWalkSpec(NamedTuple("CyclicWalkSpec", [("n", int), ("m", int), ("k", int)])):
     """k-coordinate-randomizing walk on (Z/mZ)^n."""
 
-    n: int
-    m: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"CyclicWalkSpec requires n >= 1, got n={self.n}")
-        if self.m < 2:
-            raise ValueError(f"CyclicWalkSpec requires m >= 2, got m={self.m}")
-        if not (1 <= self.k <= self.n):
-            raise ValueError(f"CyclicWalkSpec requires 1 <= k <= n, got k={self.k}")
+    def __new__(cls, n: int, m: int, k: int):
+        if n < 1:
+            raise ValueError(f"CyclicWalkSpec requires n >= 1, got n={n}")
+        if m < 2:
+            raise ValueError(f"CyclicWalkSpec requires m >= 2, got m={m}")
+        if not (1 <= k <= n):
+            raise ValueError(f"CyclicWalkSpec requires 1 <= k <= n, got k={k}")
+        return super().__new__(cls, n, m, k)
 
 
-@dataclass(frozen=True)
-class SpectrumRow:
+class SpectrumRow(NamedTuple):
     level: int
     value: Fraction
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
+class SpectrumTable(NamedTuple):
     spec: object
     rows: tuple[SpectrumRow, ...]
     non_ergodic: bool
@@ -318,8 +313,7 @@ def l2_lower_bound_odd_levels(spec: WalkSpec, l: int) -> Fraction:
     return 2 ** (spec.n - 1) * spec.p ** (2 * l)
 
 
-@dataclass(frozen=True)
-class EigenvalueCertificate:
+class EigenvalueCertificate(NamedTuple):
     """Exact certification that the half-flip spectrum is 3/4-bounded."""
 
     n: int
@@ -331,7 +325,7 @@ class EigenvalueCertificate:
     odd_levels_equal_p: bool
     closed_form_matches: bool
     levels_checked: int
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
 
 def verify_eigenvalue_three_quarters(n: int) -> EigenvalueCertificate:
@@ -341,6 +335,8 @@ def verify_eigenvalue_three_quarters(n: int) -> EigenvalueCertificate:
     vanishes) and checks the closed form for K_{2i}(n/2) against the
     eigenvalue table, all in exact rationals.
     """
+    from .krawtchouk import kraw_half
+
     if n % 4 != 2:
         raise ValueError(f"verify_eigenvalue_three_quarters requires n = 2 mod 4, got n={n}")
     k = n // 2

@@ -613,22 +613,26 @@ _NUMPY_FREE = {
 
 # the cubemix modules each command must not load: it runs none of their code
 _NOT_LOADED = {
-    "tv-cube": {"coupling", "bounds"},
-    "tv-cyclic": {"coupling", "bounds"},
-    "spectrum": {"exactdist", "coupling", "bounds"},
-    "bounds": {"coupling", "exactdist"},
+    "tv-cube": {"coupling", "bounds", "krawtchouk"},
+    "tv-cyclic": {"coupling", "bounds", "krawtchouk"},
+    "spectrum": {"exactdist", "coupling", "bounds", "krawtchouk"},
+    "bounds": {"coupling", "exactdist", "krawtchouk"},
     "verify-general": {"bounds", "exactdist", "spectrum", "krawtchouk"},
-    "couple": {"bounds"},
+    "couple": {"bounds", "krawtchouk"},
     "verify-eig34": {"coupling", "bounds"},
 }
 
 
 _TASKS = "/proc/self/task"
 
+# costly at start-up: numpy, and dataclasses with the inspect it imports
+_HEAVY = ("numpy", "dataclasses", "inspect")
+
 
 def _fresh_run(argv, output, blas_threads=None):
-    """(numpy loaded?, the cubemix submodules loaded, thread count) after one
-    CLI run in a fresh interpreter; the count is -1 without /proc/self/task.
+    """(which of _HEAVY are loaded, the cubemix submodules loaded, thread
+    count) after one CLI run in a fresh interpreter; the count is -1 without
+    /proc/self/task.
 
     blas_threads sets OPENBLAS_NUM_THREADS for the run; None leaves it unset."""
     script = (
@@ -636,7 +640,8 @@ def _fresh_run(argv, output, blas_threads=None):
         "from cubemix.cli import main\n"
         f"code = main({argv + ['--output', str(output)]!r})\n"
         f"threads = len(os.listdir({_TASKS!r})) if os.path.isdir({_TASKS!r}) else -1\n"
-        "print(code, 'numpy' in sys.modules, threads, *(m for m in sys.modules if m.startswith('cubemix.')))\n"
+        f"heavy = ','.join(m for m in {_HEAVY!r} if m in sys.modules) or '-'\n"
+        "print(code, heavy, threads, *(m for m in sys.modules if m.startswith('cubemix.')))\n"
     )
     src = str(Path(cubemix.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -646,16 +651,14 @@ def _fresh_run(argv, output, blas_threads=None):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     code, loaded, threads, *modules = proc.stdout.splitlines()[-1].split()
     assert code in ("0", "2"), proc.stdout
-    return loaded == "True", {m.removeprefix("cubemix.") for m in modules}, int(threads)
-
-
-def _loads_numpy(argv, output):
-    return _fresh_run(argv, output)[0]
+    heavy = set(loaded.split(",")) - {"-"}
+    return heavy, {m.removeprefix("cubemix.") for m in modules}, int(threads)
 
 
 @pytest.mark.parametrize("argv", _NUMPY_FREE.values(), ids=_NUMPY_FREE)
 def test_exact_and_monte_carlo_commands_do_not_load_numpy(argv, tmp_path):
-    assert not _loads_numpy(argv, tmp_path / "out")
+    # nor dataclasses and inspect: the result records are NamedTuples
+    assert not _fresh_run(argv, tmp_path / "out")[0]
 
 
 @pytest.mark.parametrize("name", _NOT_LOADED)
@@ -667,7 +670,8 @@ def test_each_command_loads_only_the_modules_it_runs(name, tmp_path):
 
 def test_float_backend_loads_numpy(tmp_path):
     # the check above is not vacuous: the same probe sees a float run load it
-    assert _loads_numpy(["tv", "--n", "12", "--k", "3", "--steps", "5", "--backend", "float"], tmp_path / "out")
+    loaded, _, _ = _fresh_run(["tv", "--n", "12", "--k", "3", "--steps", "5", "--backend", "float"], tmp_path / "out")
+    assert "numpy" in loaded
 
 
 _FLOAT_TV = ["tv", "--n", "500", "--k", "5", "--steps", "20", "--backend", "float"]
@@ -678,14 +682,14 @@ def test_float_run_keeps_one_thread(tmp_path):
     # no subcommand calls BLAS, so the CLI starts numpy's OpenBLAS with one
     # thread instead of an idle pool
     loaded, _, threads = _fresh_run(_FLOAT_TV, tmp_path / "out")
-    assert loaded and threads == 1
+    assert "numpy" in loaded and threads == 1
 
 
 @pytest.mark.skipif(not os.path.isdir(_TASKS), reason="needs /proc/self/task to count threads")
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs one thread on one CPU")
 def test_float_run_respects_a_user_blas_thread_count(tmp_path):
     loaded, _, threads = _fresh_run(_FLOAT_TV, tmp_path / "out", blas_threads="2")
-    assert loaded and threads == 2
+    assert "numpy" in loaded and threads == 2
 
 
 @pytest.mark.parametrize("preset", [None, "3"])

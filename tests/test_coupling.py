@@ -1,7 +1,9 @@
 """Coupled moves, the mismatch kernel, and the pick-probability verifiers."""
 
+import copy
 import hashlib
 import math
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -44,8 +46,19 @@ def test_coupled_state_basics():
     assert s.y == 2
     assert not s.coalesced
     assert CoupledState(4, 9, 9).coalesced
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^coupled state out of range$"):
         CoupledState(3, 8, 0)
+    with pytest.raises(ValueError, match="^coupled state out of range$"):
+        CoupledState(3, 0, -1)
+
+
+def test_coupled_state_stores_y_as_a_field():
+    s = CoupledState(4, 0b0101, 0b0110)
+    assert repr(s) == "CoupledState(n=4, x1=5, x2=6, y=2)"
+    assert s._asdict() == {"n": 4, "x1": 5, "x2": 6, "y": 2}
+    assert pickle.loads(pickle.dumps(s)) == copy.deepcopy(s) == s
+    with pytest.raises(AttributeError):
+        s.y = 0
 
 
 def partner_assignment(n: int, chosen, mismatches) -> dict[int, int]:

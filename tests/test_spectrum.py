@@ -357,6 +357,36 @@ def test_spec_validation():
         CyclicWalkSpec(4, 3, 5)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: WalkSpec(0, 1), "WalkSpec requires n >= 1, got n=0"),
+        (lambda: WalkSpec(4, 5), "WalkSpec requires 1 <= k <= n, got k=5, n=4"),
+        (lambda: WalkSpec(4, 2, 1.5), "WalkSpec requires 0 <= p < 1, got p=3/2"),
+        (lambda: CyclicWalkSpec(0, 3, 1), "CyclicWalkSpec requires n >= 1, got n=0"),
+        (lambda: CyclicWalkSpec(4, 1, 2), "CyclicWalkSpec requires m >= 2, got m=1"),
+        (lambda: CyclicWalkSpec(4, 3, 5), "CyclicWalkSpec requires 1 <= k <= n, got k=5"),
+    ],
+)
+def test_spec_error_messages(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
+def test_specs_are_immutable_value_records():
+    spec = WalkSpec(6, 3, 0.5)
+    assert spec.p == Fraction(1, 2) and type(spec.p) is Fraction
+    assert spec == WalkSpec(6, 3) and repr(spec) == "WalkSpec(n=6, k=3, p=Fraction(1, 2))"
+    cspec = CyclicWalkSpec(6, 3, 2)
+    assert cspec._asdict() == {"n": 6, "m": 3, "k": 2}
+    # the two spec types never compare equal: p < 1 <= k
+    assert not isinstance(spec, CyclicWalkSpec) and spec != cspec
+    for record, name in ((spec, "p"), (cspec, "m"), (cube_spectrum(spec).rows[0], "value")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+
+
 def test_zmn_multiplicities_are_the_comb_products():
     for n in range(61):
         for m in (2, 3, 4, 7):
