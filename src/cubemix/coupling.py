@@ -16,12 +16,14 @@ Even y, move bit set, subset S drawn, a = |S intersect mismatches|:
 
 The y-process is Markov (transition law depends on y alone), which yields
 an exact absorbing (n+1)-state kernel; P(T > l) from it dominates the TV
-distance of the walk, and a Monte Carlo simulation cross-checks it.  The
-simulator steps only the mismatch mask x1 xor x2, as an n-bit int: every
-move above reads and changes the pair through that mask alone, and T is
-the first time it empties.  It draws each k-subset with random.sample's
-algorithm inlined, so it consumes the same getrandbits stream as
-rng.sample(range(n), k) would.
+distance of the walk, and a Monte Carlo simulation cross-checks it.  E[T]
+is one sparse solve over that kernel's banded rows, with one body for
+Fractions and floats: no dense matrix, no numpy.  The simulator steps only
+the mismatch mask x1 xor x2, as an n-bit int: every move above reads and
+changes the pair through that mask alone, and T is the first time it
+empties.  It draws each k-subset with random.sample's algorithm inlined,
+so it consumes the same getrandbits stream as rng.sample(range(n), k)
+would.
 
 The verifiers at the bottom certify, in exact arithmetic, the hypergeometric
 pick-probability inequalities that drive the coupling time analysis, and
@@ -40,7 +42,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import accumulate, chain, combinations
-from operator import mul, sub
+from operator import mul, sub, truediv
 from typing import TYPE_CHECKING, NamedTuple
 
 from .numerics import LN2_LO, binom_row, cmp_ratio_with_ln2, hypergeom_numerators, use_exact
@@ -296,16 +298,20 @@ def coupling_tail_curve(spec: WalkSpec, lmax: int) -> list[Fraction] | list[floa
 def expected_coupling_time(spec: WalkSpec, exact: bool | None = None):
     """E[T] from the absorbing y-kernel, y0 binomial.
 
-    Exact rational solve of (I - Q) E = 1 up to EXACT_SOLVE_MAX_N states,
-    float linear algebra beyond.  For k > n/2 some even mismatch counts can
-    never make progress (every k-set hits more than y/2 mismatches once
-    y > 2(n - k)), the binomial start charges them, and E[T] is infinite;
-    math.inf is returned in that case.
+    One sparse solve of (I - Q) E = 1 over the kernel's own rows, in
+    Fractions up to EXACT_SOLVE_MAX_N states and in floats beyond; the two
+    differ only in how an entry c becomes c / den.  y moves by at most 2k a
+    step (even rows drop by 2a <= 2k, odd rows are rows of L^2), and once
+    every state reaches 0, I - Q is a nonsingular M-matrix: elimination in
+    y order needs no pivoting, every pivot is positive, and fill-in stays
+    inside the band, so column j is eliminated from rows j+1..j+2k only.
+    For k > n/2 some even mismatch counts can never make progress (every
+    k-set hits more than y/2 mismatches once y > 2(n - k)), the binomial
+    start charges them, and E[T] is infinite; math.inf is returned in that
+    case.
     """
-    from .exactdist import WeightDistribution
-
     _require_coupling_spec(spec, "expected_coupling_time")
-    n = spec.n
+    n, k = spec.n, spec.k
     if exact is None:
         exact = n <= EXACT_SOLVE_MAX_N
     kernel = coupling_weight_kernel(spec)
@@ -319,35 +325,28 @@ def expected_coupling_time(spec: WalkSpec, exact: bool | None = None):
                 grew = True
     if len(reaches_zero) <= n:
         return math.inf
-    # den * (I - Q) in integers; each solve divides den out in its own arithmetic
-    a = [[kernel.den * (y == t) for t in range(1, n + 1)] for y in range(1, n + 1)]
-    for y in range(1, n + 1):
-        for t, c in kernel.rows[y].items():
-            if t >= 1:
-                a[y - 1][t - 1] -= c
-    init = WeightDistribution.binomial(n)
-    if exact:
-        e = _solve_exact([[Fraction(v, kernel.den) for v in row] for row in a], [Fraction(1)] * n)
-        return sum(init.prob(y) * e[y - 1] for y in range(1, n + 1))
-    import numpy as np
-
-    e = np.linalg.solve(np.array([[v / kernel.den for v in row] for row in a]), np.ones(n))
-    return float(init.to_float().vec[1:] @ e)
-
-
-def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    n = len(a)
-    m = [row[:] + [bi] for row, bi in zip(a, b)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [vr - f * vc for vr, vc in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+    div = Fraction if exact else truediv
+    den = kernel.den
+    # row y of I - Q over the transient states 1..n; e is the right side, then E
+    a = [
+        {t: div((t == y) * den - c, den) for t, c in {y: 0, **row}.items() if t}
+        for y, row in enumerate(kernel.rows)
+    ]
+    e = [div(1, 1)] * (n + 1)
+    for j in range(1, n + 1):
+        pivot = a[j]
+        for i in range(j + 1, min(n, j + 2 * k) + 1):
+            f = a[i].pop(j, 0)
+            if f:
+                f /= pivot[j]
+                for t, v in pivot.items():
+                    if t > j:
+                        a[i][t] = a[i].get(t, 0) - f * v
+                e[i] -= f * e[j]
+    for j in range(n, 0, -1):
+        e[j] = (e[j] - sum(v * e[t] for t, v in a[j].items() if t > j)) / a[j][j]
+    # y0 is binomial: P(y0 = y) = C(n, y) / 2^n
+    return sum(div(c, 1 << n) * x for c, x in zip(binom_row(n)[1:], e[1:]))
 
 
 class CouplingTailReport(NamedTuple):

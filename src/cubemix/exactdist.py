@@ -34,8 +34,8 @@ kernel's float diagonals come from a float64 table of the pick law
 (_pick_law_floats), so a float curve forms no big integer; any other
 kernel's are its integers divided out once.  Both backends reduce
 against the one exact table per (n, m), the support-size counts
-C(n,s)(m-1)^s of spectrum._zmn_multiplicities, whose other forms
-spectrum also keeps, so this module builds no table: exact l2 reads its
+C(n,s)(m-1)^s of numerics.binom_row, whose other forms spectrum
+keeps, so this module builds no table: exact l2 reads its
 cofactors, float TV its correctly rounded profile and float l2 its logs,
 which stay finite where the profile's tail underflows.  The float
 reductions are numpy array expressions, with no per-weight Python loop.
@@ -66,7 +66,6 @@ from .spectrum import (
     _log_multiplicities,
     _log_multiplicity_row,
     _uniform_weight_float,
-    _zmn_multiplicities,
     cube_eigen_numerators,
 )
 
@@ -116,6 +115,8 @@ class WeightDistribution:
 
     @classmethod
     def delta(cls, n: int, w: int = 0) -> "WeightDistribution":
+        if not 0 <= w <= n:
+            raise ValueError(f"point start {w} outside weights 0..{n}")
         nums = [0] * (n + 1)
         nums[w] = 1
         return cls(n, nums=nums, den=1)
@@ -123,7 +124,7 @@ class WeightDistribution:
     @classmethod
     def binomial(cls, n: int) -> "WeightDistribution":
         """Weight profile of the uniform distribution on {0,1}^n."""
-        return cls(n, nums=list(_zmn_multiplicities(n, 2)), den=1 << n)
+        return cls(n, nums=list(binom_row(n)), den=1 << n)
 
     @classmethod
     def from_floats(cls, vec) -> "WeightDistribution":
@@ -174,9 +175,13 @@ class WeightKernel:
     def _set_rows(self, rows, den):
         if den <= 0:
             raise ValueError("WeightKernel needs a positive denominator")
+        if len(rows) != self.n + 1:
+            raise ValueError(f"WeightKernel on weights 0..{self.n} needs {self.n + 1} rows, got {len(rows)}")
         for w, row in enumerate(rows):
             if sum(row.values()) != den:
                 raise ValueError(f"kernel row {w} does not sum to 1")
+            if min(row) < 0 or max(row) > self.n:
+                raise ValueError(f"kernel row {w} has a target outside 0..{self.n}")
             if any(c < 0 for c in row.values()):
                 raise ValueError(f"negative entry in kernel row {w}")
         self._rows, self._den = rows, den
@@ -383,7 +388,7 @@ def tv_to_uniform(dist: WeightDistribution, m: int = 2):
         # c <= m^n), and only a gap inside the band around that is settled
         # by the exact product.
         nums, den, scale = dist.nums, dist.den, m**n
-        mult = _zmn_multiplicities(n, m)
+        mult = binom_row(n, m)
         ld, lscale = math.log(den), n * math.log(m)
         band = _SIGN_TOL * (2 * ld + lscale + 1)
         above, below = ld - lscale + band, ld - lscale - band
@@ -551,7 +556,7 @@ def spectral_dist(spec: WalkSpec, l: int) -> WeightDistribution:
     eig_nums, eig_den = cube_eigen_numerators(spec)
     kap = kraw_integer_table(n)
     pw = [e**l for e in eig_nums]
-    mult = _zmn_multiplicities(n, 2)
+    mult = binom_row(n)
     nums = []
     for w in range(n + 1):
         s = 0
@@ -579,7 +584,7 @@ def support_weight_kernel(cspec: CyclicWalkSpec) -> WeightKernel:
     s - i + b: C(s,i) C(n-s,k-i) C(k,b) (m-1)^b over C(n,k) m^k.
     """
     n, m, k = cspec.n, cspec.m, cspec.k
-    fresh = [(b, c * (m - 1) ** b) for b, c in enumerate(binom_row(k))]
+    fresh = list(enumerate(binom_row(k, m)))
     return _pick_kernel(n, k, 1, fresh, m**k)
 
 

@@ -44,18 +44,25 @@ LN2_LO = Fraction(69314718055994530941723212145817656807, 10**38)
 LN2_HI = Fraction(69314718055994530941723212145817656809, 10**38)
 
 
-@lru_cache(maxsize=1024)
-def binom_row(n: int) -> tuple[int, ...]:
-    """The full row (C(n,0), ..., C(n,n)), cached for scan-heavy loops.
+def binom_row(n: int, m: int = 2) -> tuple[int, ...]:
+    """(C(n,0), ..., C(n,w) (m-1)^w, ..., C(n,n) (m-1)^n): the binomial row at m = 2.
 
-    Built by C(n,i+1) = C(n,i) (n-i) / (i+1), exact at every step: one
-    big-by-small product per entry instead of a full math.comb each.
+    At m > 2 it counts the points of (Z/mZ)^n by support size.  Cached per
+    (n, m), however m = 2 is spelled, for scan-heavy loops and the big rows
+    of large n.
     """
+    return _binom_row(n, m)
+
+
+@lru_cache(maxsize=1024)
+def _binom_row(n: int, m: int) -> tuple[int, ...]:
+    # row[w+1] = row[w] (n-w)(m-1) / (w+1), exact at every step: one
+    # big-by-small product per entry instead of a full math.comb each
     if n < 0:
         raise ValueError(f"binom_row requires n >= 0, got n={n}")
     row = [1]
-    for i in range(n):
-        row.append(row[-1] * (n - i) // (i + 1))
+    for w in range(n):
+        row.append(row[-1] * ((n - w) * (m - 1)) // (w + 1))
     return tuple(row)
 
 

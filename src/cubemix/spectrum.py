@@ -12,8 +12,8 @@ Every level of either walk is a table of integer numerators over one
 denominator with integer multiplicities, and _levels is the one function
 that tells the walks apart: the spectra, the l2 bounds and the l2 curve
 all read their levels from it.  The multiplicities are one cached exact
-table per (n, m), _zmn_multiplicities (the cube is m = 2), which is also
-the uniform law's support-size profile that exactdist reduces against.
+table per (n, m), numerics.binom_row(n, m) (the cube is m = 2), which is
+also the uniform law's support-size profile that exactdist reduces against.
 Its other forms are derived here from the same integers: _cofactors (each
 1/c over one lcm, for exact l2), _uniform_weight_float (each c / m^n,
 correctly rounded, for float TV), _log_multiplicity_row (math.log of each
@@ -42,7 +42,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .numerics import sum_exp, use_exact
+from .numerics import binom_row, sum_exp, use_exact
 
 
 class WalkSpec(NamedTuple("WalkSpec", [("n", int), ("k", int), ("p", Fraction)])):
@@ -116,23 +116,9 @@ def cube_eigen_numerators(spec: WalkSpec) -> tuple[list[int], int]:
 
 
 @functools.lru_cache(maxsize=8)
-def _zmn_multiplicities(n: int, m: int) -> tuple[int, ...]:
-    """C(n,w) (m-1)^w for w = 0..n, the points of (Z/mZ)^n with support size w.
-
-    Built by the exact ratio row[w+1] = row[w] (n-w)(m-1) / (w+1), one
-    big-by-small product per entry; cached, since the entries are big at
-    large n.  At m = 2 it is the binomial row.
-    """
-    row = [1]
-    for w in range(n):
-        row.append(row[-1] * ((n - w) * (m - 1)) // (w + 1))
-    return tuple(row)
-
-
-@functools.lru_cache(maxsize=8)
 def _cofactors(n: int, m: int) -> tuple[int, tuple[int, ...]]:
-    """(L, [L // c]) with L the lcm of _zmn_multiplicities(n, m): each 1/c over one denominator."""
-    row = _zmn_multiplicities(n, m)
+    """(L, [L // c]) with L the lcm of binom_row(n, m): each 1/c over one denominator."""
+    row = binom_row(n, m)
     L = math.lcm(*row)
     return L, tuple(L // c for c in row)
 
@@ -148,18 +134,18 @@ def _uniform_weight_float(n: int, m: int = 2):
     import numpy as np
 
     scale = m**n
-    out = np.array([c / scale for c in _zmn_multiplicities(n, m)])
+    out = np.array([c / scale for c in binom_row(n, m)])
     out.flags.writeable = False
     return out
 
 
 @functools.lru_cache(maxsize=8)
 def _log_multiplicity_row(n: int, m: int) -> tuple[float, ...]:
-    """math.log of each _zmn_multiplicities(n, m) entry, as a tuple of floats.
+    """math.log of each binom_row(n, m) entry, as a tuple of floats.
 
     The exact TV's sign pass reads it without loading numpy.
     """
-    return tuple(map(math.log, _zmn_multiplicities(n, m)))
+    return tuple(map(math.log, binom_row(n, m)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -177,7 +163,7 @@ def _log_multiplicities(n: int, m: int):
 
 def _levels(spec) -> tuple[int, list[int], int]:
     """(m, nums, den): level j has eigenvalue nums[j] / den and multiplicity
-    _zmn_multiplicities(n, m)[j], the number of characters of support size j.
+    binom_row(n, m)[j], the number of characters of support size j.
 
     The one place that tells the two walks apart (the cube is m = 2); every
     spectrum, l2 bound and l2 curve below reads its levels from here.
@@ -209,7 +195,7 @@ def zmn_eigenvalue(cspec: CyclicWalkSpec, w: int) -> Fraction:
 def _spectrum(spec) -> SpectrumTable:
     """Every level of either walk, with non_ergodic set when a nonzero level has |eigenvalue| 1."""
     m, nums, den = _levels(spec)
-    mults = _zmn_multiplicities(spec.n, m)
+    mults = binom_row(spec.n, m)
     rows = tuple(SpectrumRow(j, Fraction(v, den), c) for j, (c, v) in enumerate(zip(mults, nums)))
     return SpectrumTable(spec, rows, non_ergodic=any(abs(v) == den for v in nums[1:]))
 
@@ -287,7 +273,7 @@ def _l2_curve(spec, exact: bool = True, start: int = 0):
         for l in itertools.count(start):
             yield sum_exp(log_mults + l * log_eig_sq if l else log_mults)
     m, nums, den = _levels(spec)
-    terms = [c * v ** (2 * start) for c, v in zip(_zmn_multiplicities(spec.n, m)[1:], nums[1:])]
+    terms = [c * v ** (2 * start) for c, v in zip(binom_row(spec.n, m)[1:], nums[1:])]
     squares = [v * v for v in nums[1:]]
     den_sq, den_pow = den * den, den ** (2 * start)
     while True:

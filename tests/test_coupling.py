@@ -321,13 +321,32 @@ def test_float_coupling_tail_matches_exact(monkeypatch):
 def test_expected_coupling_time_tiny_case():
     assert expected_coupling_time(WalkSpec(2, 1)) == 2
     assert expected_coupling_time(WalkSpec(2, 1), exact=False) == pytest.approx(2.0, rel=1e-12)
+    # the dense Gauss-Jordan solve's values, which the banded one must keep
+    pinned = {
+        (9, 3): Fraction(2155523, 371840),
+        (12, 5): Fraction(29487521, 5416960),
+        (40, 3): Fraction(
+            880170135406896553061400367948872258071252981253399167687,
+            22576430840396239188050438661266505350151792953917440000,
+        ),
+    }
+    for (n, k), want in pinned.items():
+        got = expected_coupling_time(WalkSpec(n, k))
+        assert type(got) is Fraction and got == want, (n, k)
     # E[T] also equals the sum of the tail curve, so partial sums approach it.
-    partial = sum(coupling_tail_curve(WalkSpec(2, 1), 60))
-    assert 0 < 2 - partial < Fraction(1, 10**6)
+    for n, k, lmax, gap in [(2, 1, 60, Fraction(1, 10**6)), (9, 3, 400, Fraction(1, 10**40))]:
+        partial = sum(coupling_tail_curve(WalkSpec(n, k), lmax))
+        assert 0 < expected_coupling_time(WalkSpec(n, k)) - partial < gap, (n, k)
+    # in floats too: above EXACT_BACKEND_MAX_N both sides are floats, and the
+    # tail at l = 8000 is below 1e-32
+    spec = WalkSpec(501, 5)
+    want = math.fsum(coupling_tail_curve(spec, 8000))
+    got = expected_coupling_time(spec)
+    assert type(got) is float and abs(got - want) <= 1e-12 * want
 
 
 def test_expected_time_exact_vs_float_larger():
-    for n, k in [(5, 3), (9, 5), (12, 3)]:
+    for n, k in [(5, 3), (9, 5), (12, 3), (64, 7), (63, 5)]:
         ex = expected_coupling_time(WalkSpec(n, k), exact=True)
         fl = expected_coupling_time(WalkSpec(n, k), exact=False)
         assert fl == pytest.approx(float(ex), rel=1e-10)

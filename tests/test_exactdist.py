@@ -113,6 +113,24 @@ def test_evolve_single_step_is_kernel_row():
         }
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: WeightDistribution.delta(3, -1),
+        lambda: WeightDistribution.delta(3, 5),
+        lambda: WeightKernel(2, rows=[{-1: 1}, {1: 1}, {2: 1}], den=1),
+        lambda: WeightKernel(2, rows=[{0: 1}, {1: 1}, {3: 1}], den=1),
+        lambda: WeightKernel(2, rows=[{0: 1}, {1: 1}], den=1),
+        lambda: WeightKernel(2, rows=[{0: 1}, {1: 1}, {2: 1}, {3: 1}], den=1),
+    ],
+    ids=["delta-below", "delta-above", "target-below", "target-above", "rows-short", "rows-long"],
+)
+def test_out_of_range_kernels_and_point_starts_are_rejected(build):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert len(str(err.value).splitlines()) == 1
+
+
 def test_evolve_validation():
     kern = flip_weight_kernel(WalkSpec(3, 1))
     with pytest.raises(ValueError):

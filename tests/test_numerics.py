@@ -23,6 +23,8 @@ from cubemix.numerics import (
 def test_binom_row_is_full_row():
     for n in (0, 1, 7, 23, 400, 1100, 5000):
         assert binom_row(n) == tuple(math.comb(n, k) for k in range(n + 1))
+        # one cached row per (n, m), however m = 2 is spelled
+        assert binom_row(n) is binom_row(n, 2) is binom_row(n, m=2)
 
 
 def test_log_binom_against_bigint_oracle():

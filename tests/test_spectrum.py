@@ -27,10 +27,10 @@ from cubemix import (
     zmn_l2_upper_bound,
     zmn_spectrum,
 )
+from cubemix.numerics import binom_row
 from cubemix.spectrum import (
     _l2_curve,
     _uniform_weight_float,
-    _zmn_multiplicities,
     cube_eigen_numerators,
 )
 
@@ -390,4 +390,4 @@ def test_specs_are_immutable_value_records():
 def test_zmn_multiplicities_are_the_comb_products():
     for n in range(61):
         for m in (2, 3, 4, 7):
-            assert _zmn_multiplicities(n, m) == tuple(math.comb(n, w) * (m - 1) ** w for w in range(n + 1))
+            assert binom_row(n, m) == tuple(math.comb(n, w) * (m - 1) ** w for w in range(n + 1))
