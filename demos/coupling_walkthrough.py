@@ -51,7 +51,8 @@ print("20000 simulated pairs vs the exact tail")
 for l in (1, 4, 8, 12):
     print(f"  l={l:>2}  simulated {mc.tail(l):.4f}  exact {float(tail[l]):.4f}")
 
-# The expected meeting time solves a linear system over the rationals.
+# The expected meeting time is an exact rational too: the even mismatch
+# counts only move down, so it follows from one pass up through them.
 print()
 for n, k in ((2, 1), (9, 3), (12, 5)):
     et = expected_coupling_time(WalkSpec(n, k))

@@ -16,14 +16,16 @@ Even y, move bit set, subset S drawn, a = |S intersect mismatches|:
 
 The y-process is Markov (transition law depends on y alone), which yields
 an exact absorbing (n+1)-state kernel; P(T > l) from it dominates the TV
-distance of the walk, and a Monte Carlo simulation cross-checks it.  E[T]
-is one sparse solve over that kernel's banded rows, with one body for
-Fractions and floats: no dense matrix, no numpy.  The simulator steps only
-the mismatch mask x1 xor x2, as an n-bit int: every move above reads and
+distance of the walk, and a Monte Carlo simulation cross-checks it.  For
+odd k and the binomial start (x2 uniform) the odd states lump: an odd
+row's odd -> odd part (C^2 I + M^2)/4C^2, M the unnormalised k-flip move
+and C = C(n, k), halves the odd binomial, so step l hands the even states
+2^-l C(n, t)/2^n.  Even y only moves down, so the exact tail and E[T] step
+the even states alone, E[T] with no solve.  The simulator steps only the
+mismatch mask x1 xor x2, as an n-bit int: every move above reads and
 changes the pair through that mask alone, and T is the first time it
-empties.  It draws each k-subset with random.sample's algorithm inlined,
-so it consumes the same getrandbits stream as rng.sample(range(n), k)
-would.
+empties.  It draws each k-subset with random.sample's algorithm inlined, so
+it consumes the same getrandbits stream as rng.sample(range(n), k) would.
 
 The verifiers at the bottom certify, in exact arithmetic, the hypergeometric
 pick-probability inequalities that drive the coupling time analysis, and
@@ -42,7 +44,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import accumulate, chain, combinations
-from operator import mul, sub, truediv
+from operator import mul, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from .numerics import LN2_LO, binom_row, cmp_ratio_with_ln2, hypergeom_numerators, use_exact
@@ -54,7 +56,6 @@ if TYPE_CHECKING:
     from .spectrum import WalkSpec
 
 MARGINAL_CHECK_MAX_N = 8
-EXACT_SOLVE_MAX_N = 64
 
 
 class CoupledState(NamedTuple("CoupledState", [("n", int), ("x1", int), ("x2", int), ("y", int)])):
@@ -236,117 +237,115 @@ def _require_coupling_spec(spec: WalkSpec, op: str) -> None:
         raise ValueError(f"{op} is defined for the half-lazy walk (p = 1/2), got p={spec.p}")
 
 
+def _even_rows(n: int, k: int) -> list[tuple[int, dict[int, int]]]:
+    """[(hold_y, {a: c_a for 1 <= a <= y/2}) for y = 0, 2, .., n] over 2C, C = C(n, k):
+    even y moves to y - 2a with c_a = C(y,a) C(n-y,k-a), and holds otherwise."""
+    C = math.comb(n, k)
+    rows = []
+    for y in range(0, n + 1, 2):
+        moves = {a: c for a, c in hypergeom_numerators(n, y, k).items() if 1 <= a <= y // 2}
+        rows.append((2 * C - sum(moves.values()), moves))
+    return rows
+
+
 def coupling_weight_kernel(spec: WalkSpec) -> WeightKernel:
     """Exact transition kernel of the mismatch count y, absorbing at 0.
 
-    Even y > 0: hold with 1/2, else y -> y - 2a if a <= y/2, no progress
-    otherwise.  Odd y: the chains step independently, and the mismatch
-    weight takes one lazy flip step per chain, so the row is row y of L^2
-    for L = flip_weight_kernel(spec) (over 2C, so L^2 is over 4C^2).
+    Even y: _even_rows, scaled from 2C to 4C^2.  Odd y: the chains step
+    independently, so the row is row y of L^2 for L = flip_weight_kernel(spec)
+    (over 2C, so L^2 is over 4C^2).
     """
     from .exactdist import WeightKernel, flip_weight_kernel
 
     _require_coupling_spec(spec, "coupling_weight_kernel")
     n, k = spec.n, spec.k
-    C = math.comb(n, k)
-    den = 4 * C * C
+    C2 = 2 * math.comb(n, k)
     lazy = flip_weight_kernel(spec).rows
+    even = _even_rows(n, k)
     rows: list[dict[int, int]] = []
     for y in range(n + 1):
-        row: dict[int, int] = {}
-        if y == 0:
-            row[0] = den
-        elif y % 2 == 0:
-            row[y] = 2 * C * C
-            for a, c in hypergeom_numerators(n, y, k).items():
-                t = y - 2 * a if 2 * a <= y else y
-                row[t] = row.get(t, 0) + 2 * C * c
+        if y % 2 == 0:
+            hold, moves = even[y // 2]
+            row = {y: C2 * hold} | {y - 2 * a: C2 * c for a, c in moves.items()}
         else:
+            row = {}
             for y1, c1 in lazy[y].items():
                 for t, c2 in lazy[y1].items():
                     row[t] = row.get(t, 0) + c1 * c2
         rows.append(row)
-    return WeightKernel(n, rows=rows, den=den)
+    return WeightKernel(n, rows=rows, den=C2 * C2)
 
 
 def coupling_tail_curve(spec: WalkSpec, lmax: int) -> list[Fraction] | list[float]:
     """[P(T > l) for l = 0..lmax], x2 started uniform (y0 binomial).
 
-    Fractions up to EXACT_BACKEND_MAX_N coordinates, floats above it.  A
-    float tail sums the surviving mass vec[1:], not 1 - vec[0], so a small
-    tail keeps its relative accuracy; it is clamped at 1 as float TV is.
+    Fractions up to EXACT_BACKEND_MAX_N coordinates, from the even states
+    over 2^n (2C)^l, C^l C(n, t) flowing in at step l; floats above it, from
+    the full kernel, summing the surviving mass vec[1:], not 1 - vec[0], so
+    a small tail keeps its relative accuracy, clamped at 1 as float TV is.
     """
-    from .exactdist import WeightDistribution, evolve
-
     if lmax < 0:
         raise ValueError(f"coupling_tail_curve requires lmax >= 0, got {lmax}")
-    kernel = coupling_weight_kernel(spec)
-    dist = WeightDistribution.binomial(spec.n)
-    if not use_exact(spec.n):
-        dist = dist.to_float()
-    out = []
-    for l in range(lmax + 1):
-        if l:
-            dist = evolve(dist, kernel, 1)
-        if dist.exact:
-            out.append(Fraction(dist.den - dist.nums[0], dist.den))
-        else:
-            out.append(min(float(dist.vec[1:].sum()), 1.0))
+    _require_coupling_spec(spec, "coupling_tail_curve")
+    n, k = spec.n, spec.k
+    if not use_exact(n):
+        from .exactdist import WeightDistribution, evolve
+
+        kernel = coupling_weight_kernel(spec)
+        start = WeightDistribution.binomial(n).to_float()
+        dists = accumulate(range(lmax), lambda dist, _: evolve(dist, kernel, 1), initial=start)
+        return [min(float(dist.vec[1:].sum()), 1.0) for dist in dists]
+    C, rows, inflow = math.comb(n, k), _even_rows(n, k), binom_row(n)[::2]
+    # nums[j] / den is the mass at y = 2j after l steps; nums[0] has met
+    nums, den, scale = list(inflow), 1 << n, 1
+    out = [Fraction(den - nums[0], den)]
+    for _ in range(lmax):
+        scale, den = scale * C, den * 2 * C
+        new = [hold * v + scale * b for (hold, _), v, b in zip(rows, nums, inflow)]
+        for j, ((_, moves), v) in enumerate(zip(rows, nums)):
+            for a, c in moves.items():
+                new[j - a] += c * v
+        nums = new
+        out.append(Fraction(den - nums[0], den))
     return out
 
 
 def expected_coupling_time(spec: WalkSpec, exact: bool | None = None):
-    """E[T] from the absorbing y-kernel, y0 binomial.
+    """E[T] from the absorbing y-chain, y0 binomial; exact by default up to EXACT_BACKEND_MAX_N.
 
-    One sparse solve of (I - Q) E = 1 over the kernel's own rows, in
-    Fractions up to EXACT_SOLVE_MAX_N states and in floats beyond; the two
-    differ only in how an entry c becomes c / den.  y moves by at most 2k a
-    step (even rows drop by 2a <= 2k, odd rows are rows of L^2), and once
-    every state reaches 0, I - Q is a nonsingular M-matrix: elimination in
-    y order needs no pivoting, every pivot is positive, and fill-in stays
-    inside the band, so column j is eliminated from rows j+1..j+2k only.
-    For k > n/2 some even mismatch counts can never make progress (every
-    k-set hits more than y/2 mismatches once y > 2(n - k)), the binomial
-    start charges them, and E[T] is infinite; math.inf is returned in that
-    case.
+    T spends one step in expectation at odd y (their mass halves each step)
+    and enters the even states in the binomial shape it starts them in.  The
+    even block is triangular, so the time h(y) from even y follows forward
+    from h(0) = 0: h(y) = (2C + sum_a c_a h(y - 2a)) / (2C - hold_y) over
+    _even_rows, and E[T] = 1 + 2 sum_{even y} C(n, y)/2^n h(y); math.inf if
+    some even y > 0 holds for sure (k > n/2, y > 2(n - k)).  Exact h(y) are
+    integers over one denominator, the product of the 2C - hold_y.
     """
     _require_coupling_spec(spec, "expected_coupling_time")
     n, k = spec.n, spec.k
-    if exact is None:
-        exact = n <= EXACT_SOLVE_MAX_N
-    kernel = coupling_weight_kernel(spec)
-    reaches_zero = {0}
-    grew = True
-    while grew:
-        grew = False
-        for y in range(1, n + 1):
-            if y not in reaches_zero and any(t in reaches_zero for t in kernel.rows[y]):
-                reaches_zero.add(y)
-                grew = True
-    if len(reaches_zero) <= n:
+    C2 = 2 * math.comb(n, k)
+    rows, binoms = _even_rows(n, k), binom_row(n)
+    if any(hold == C2 for hold, _ in rows[1:]):
         return math.inf
-    div = Fraction if exact else truediv
-    den = kernel.den
-    # row y of I - Q over the transient states 1..n; e is the right side, then E
-    a = [
-        {t: div((t == y) * den - c, den) for t, c in {y: 0, **row}.items() if t}
-        for y, row in enumerate(kernel.rows)
-    ]
-    e = [div(1, 1)] * (n + 1)
-    for j in range(1, n + 1):
-        pivot = a[j]
-        for i in range(j + 1, min(n, j + 2 * k) + 1):
-            f = a[i].pop(j, 0)
-            if f:
-                f /= pivot[j]
-                for t, v in pivot.items():
-                    if t > j:
-                        a[i][t] = a[i].get(t, 0) - f * v
-                e[i] -= f * e[j]
-    for j in range(n, 0, -1):
-        e[j] = (e[j] - sum(v * e[t] for t, v in a[j].items() if t > j)) / a[j][j]
-    # y0 is binomial: P(y0 = y) = C(n, y) / 2^n
-    return sum(div(c, 1 << n) * x for c, x in zip(binom_row(n)[1:], e[1:]))
+    if not (use_exact(n) if exact is None else exact):
+        h = [0.0]
+        for j, (hold, moves) in enumerate(rows[1:], 1):
+            g = C2 - hold
+            h.append(C2 / g + sum(c / g * h[j - a] for a, c in moves.items()))
+        # int / int: a float times C(n, y) overflows at large n
+        return 1 + 2 * sum(binoms[2 * j] / (1 << n) * v for j, v in enumerate(h))
+    # h[j] / den is h(2j); as den grows by each 2C - hold_y, the running sum
+    # and the h that later rows still read (the last k - 1) rescale
+    h, den, total = [0], 1, 0
+    for j, (hold, moves) in enumerate(rows[1:], 1):
+        g = C2 - hold
+        num = C2 * den + sum(c * h[j - a] for a, c in moves.items())
+        den *= g
+        for i in range(max(0, j - k + 1), j):
+            h[i] *= g
+        total = total * g + binoms[2 * j] * num
+        h.append(num)
+    return Fraction((den << n) + 2 * total, den << n)
 
 
 class CouplingTailReport(NamedTuple):

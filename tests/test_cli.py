@@ -618,7 +618,7 @@ _NOT_LOADED = {
     "spectrum": {"exactdist", "coupling", "bounds", "krawtchouk"},
     "bounds": {"coupling", "exactdist", "krawtchouk"},
     "verify-general": {"bounds", "exactdist", "spectrum", "krawtchouk"},
-    "couple": {"bounds", "krawtchouk"},
+    "couple": {"bounds", "exactdist", "krawtchouk"},
     "verify-eig34": {"coupling", "bounds"},
 }
 

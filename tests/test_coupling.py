@@ -321,7 +321,7 @@ def test_float_coupling_tail_matches_exact(monkeypatch):
 def test_expected_coupling_time_tiny_case():
     assert expected_coupling_time(WalkSpec(2, 1)) == 2
     assert expected_coupling_time(WalkSpec(2, 1), exact=False) == pytest.approx(2.0, rel=1e-12)
-    # the dense Gauss-Jordan solve's values, which the banded one must keep
+    # the dense Gauss-Jordan solve's values, which the even-state recurrence must keep
     pinned = {
         (9, 3): Fraction(2155523, 371840),
         (12, 5): Fraction(29487521, 5416960),
@@ -359,6 +359,53 @@ def test_expected_time_infinite_when_even_lock_state_exists():
     for n, k in [(8, 5), (6, 5), (10, 7)]:
         assert expected_coupling_time(WalkSpec(n, k), exact=True) == math.inf
         assert expected_coupling_time(WalkSpec(n, k), exact=False) == math.inf
+
+
+def _odd_k_specs(n_max):
+    return [WalkSpec(n, k) for n in range(1, n_max + 1) for k in range(1, n + 1, 2)]
+
+
+def test_full_kernel_keeps_the_odd_binomial_and_the_even_chain_tails():
+    # the full kernel is the reference the even chain is held to: from the
+    # binomial start its odd entries are exactly 2^-l C(n, y)/2^n, and its
+    # absorbed mass gives the tail the even chain steps alone
+    for spec in _odd_k_specs(40):
+        n = spec.n
+        kernel = coupling_weight_kernel(spec)
+        tails = coupling_tail_curve(spec, 30)
+        row = binom_row(n)
+        dist = WeightDistribution.binomial(n)
+        for l in range(31):
+            if l:
+                dist = evolve(dist, kernel, 1)
+            for y in range(1, n + 1, 2):
+                assert dist.nums[y] << (n + l) == row[y] * dist.den, (spec, l, y)
+            assert 1 - dist.prob(0) == tails[l], (spec, l)
+
+
+def _reaches_zero_everywhere(rows):
+    """Whether every state of the y-chain can reach 0, by a reachability fixpoint."""
+    reached = {0}
+    grew = True
+    while grew:
+        grew = False
+        for y, row in enumerate(rows):
+            if y not in reached and any(t in reached for t in row):
+                reached.add(y)
+                grew = True
+    return len(reached) == len(rows)
+
+
+def test_expected_time_is_infinite_exactly_when_some_state_never_meets():
+    for spec in _odd_k_specs(40):
+        never = not _reaches_zero_everywhere(coupling_weight_kernel(spec).rows)
+        for exact in (True, False):
+            assert math.isinf(expected_coupling_time(spec, exact=exact)) == never, (spec, exact)
+
+
+def test_expected_time_backend_follows_the_one_cutoff():
+    assert type(expected_coupling_time(WalkSpec(400, 3))) is Fraction
+    assert type(expected_coupling_time(WalkSpec(401, 3))) is float
 
 
 def test_coupling_tail_dominates_tv():
