@@ -29,13 +29,16 @@ it consumes the same getrandbits stream as rng.sample(range(n), k) would.
 
 The verifiers at the bottom certify, in exact arithmetic, the hypergeometric
 pick-probability inequalities that drive the coupling time analysis, and
-report every counterexample they find, in NamedTuple records.  The
-all-(n, k) sweep steps one running pair of hypergeometric CDFs along y per
-(n, k) instead of summing a window of the pmf per cell, so a cell costs at
-most two big-integer products, and it checks each claim on a run of y at
-once: the run's minimum, and the cells one by one only when that fails.
-Its mode-threshold part visits only the y where the threshold and the
-ratio test's boundary are far enough apart to disagree, found per (n, k).
+report every counterexample they find, in NamedTuple records.  Both
+certificates read their sums off one CDF sweep: a running pair of
+hypergeometric CDFs stepped along y per (n, k) instead of a window of the
+pmf summed per cell, so a cell costs at most two big-integer products.
+The half-flip certificate takes both of its parts from the one sweep at
+k = n/2.  The all-(n, k) sweep checks each claim on a run of y at once:
+the run's minimum, and the cells one by one only when that fails.  Its
+mode-threshold part visits only the y where the threshold and the ratio
+test's boundary are far enough apart to disagree, found per (n, k).  Each
+sweep builds its binomial rows once and holds them.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import accumulate, chain, combinations
-from operator import mul, sub
+from operator import sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from .numerics import LN2_LO, binom_row, cmp_ratio_with_ln2, hypergeom_numerators, use_exact
@@ -478,18 +481,6 @@ class HalfPickCertificate(NamedTuple):
         return bool(self.violations)
 
 
-def _overlap_mass(ry: tuple, rny: tuple, k: int, lo: int, hi: int) -> int:
-    """Sum of C(y,i) C(n-y,k-i) over lo <= i <= hi (hi >= -1); ry, rny = binom_row(y), binom_row(n-y).
-
-    Rows are palindromes, so C(n-y,k-i) = rny[n-y-k+i]: one C-level dot
-    product of aligned slices, which run out at the support's tops y and k.
-    """
-    off = len(rny) - 1 - k
-    lo = lo if lo > 0 else 0
-    lo = lo if lo + off > 0 else -off
-    return sum(map(mul, ry[lo : hi + 1], rny[lo + off : hi + off + 1]))
-
-
 def _mode_bad_ranges(n: int, k: int, tnum0: int):
     """Yield (y, start, stop) for each y = 1..n where [start, stop) is nonempty:
     the i whose ratio test contradicts the threshold t = (tnum0 + y(k+1))/(n+1).
@@ -527,15 +518,18 @@ def verify_half_flip_pick_bounds(n: int) -> HalfPickCertificate:
     if n % 4 != 2:
         raise ValueError(f"verify_half_flip_pick_bounds requires n = 2 mod 4, got n={n}")
     h = n // 2
-    C = math.comb(n, h)
+    table = [binom_row(m) for m in range(n + 1)]
+    # part 1's window starts at y - h, below which C(n-y, h-i) = 0, so it is
+    # the whole CDF ups[y]; part 2's starts at ceil(y/4) = ceil(yh/2n): sums[y]
+    ups, sums = _pick_sums(table, n, h)
+    den = 2 * table[n][h]
     quarter = Fraction(1, 4)
     rows = []
     viol = []
     min1 = min2 = min2e = None
     for y in range(n + 1):
-        ry, rny = binom_row(y), binom_row(n - y)
         if y >= h:
-            p1 = Fraction(_overlap_mass(ry, rny, h, y - h, y // 2), 2 * C)
+            p1 = Fraction(ups[y], den)
             row = HalfPickRow(1, y, p1, p1 >= quarter)
             rows.append(row)
             if not row.ok:
@@ -543,7 +537,7 @@ def verify_half_flip_pick_bounds(n: int) -> HalfPickCertificate:
             if min1 is None or p1 < min1[0]:
                 min1 = (p1, y)
         if 1 <= y <= h:
-            p2 = Fraction(_overlap_mass(ry, rny, h, -(-y // 4), y // 2), 2 * C)
+            p2 = Fraction(sums[y], den)
             row = HalfPickRow(2, y, p2, p2 >= quarter)
             rows.append(row)
             if not row.ok:
@@ -595,12 +589,13 @@ class PickBoundsCertificate(NamedTuple):
 _SAMPLE_CAP = 40
 
 
-def _pick_sums(rows: list, n: int, k: int) -> list[int]:
-    """[s(0), ..., s(n)], s(y) = sum of C(y,i) C(n-y,k-i) over ceil(yk/2n) <= i <= y//2.
+def _pick_sums(rows: list, n: int, k: int) -> tuple[list[int], list[int]]:
+    """(ups, sums) over y = 0..n: ups[y] = G(y, y//2) and sums[y] = s(y).
 
-    rows[m] is binom_row(m) for m <= n, and 1 <= k <= n/2.  With
-    G(y, j) = sum_{i <= j} C(y,i) C(n-y,k-i), s(y) = G(y, y//2) - G(y, j(y))
-    for j(y) = ceil(yk/2n) - 1, and both terms are stepped in y, not summed:
+    G(y, j) = sum_{i <= j} C(y,i) C(n-y,k-i) is the hypergeometric CDF and
+    s(y) the sum over ceil(yk/2n) <= i <= y//2; rows[m] is binom_row(m) for
+    m <= n, and 1 <= k <= n/2.  s(y) = G(y, y//2) - G(y, j(y)) for
+    j(y) = ceil(yk/2n) - 1, and both terms are stepped in y, not summed:
     G(y+1, j) = G(y, j) - C(y,j) C(n-y-1,k-j-1) and
     G(y, j+1) = G(y, j) + C(y,j+1) C(n-y,k-j-1).  With k <= n/2 each limit
     rises by at most 1 per y, and a rise folds both steps into one by
@@ -610,7 +605,7 @@ def _pick_sums(rows: list, n: int, k: int) -> list[int]:
     """
     up, low = rows[n][k], 0  # G(0, 0) and G(0, -1)
     j, yk, edge = -1, 0, 0  # edge = 2n(j + 1): j rises once yk passes it
-    out = [up]
+    ups, sums = [up], [up]
     for y in range(n):
         ry, rest = rows[y], rows[n - y - 1]
         h = y >> 1
@@ -630,8 +625,9 @@ def _pick_sums(rows: list, n: int, k: int) -> list[int]:
         if rise:
             j += 1
             edge += 2 * n
-        out.append(up - low)
-    return out
+        ups.append(up)
+        sums.append(up - low)
+    return ups, sums
 
 
 def _pick_blocks(n: int, k: int) -> tuple:
@@ -727,8 +723,9 @@ def verify_pick_fraction_bounds(n_max: int, parts=tuple(range(1, 10))) -> PickBo
     want_sum = any(p != 1 for p in parts)
     want_mode = 1 in parts
 
+    rows = [binom_row(0), binom_row(1)]
     for n in range(2, n_max + 1):
-        rows = [binom_row(m) for m in range(n + 1)]
+        rows.append(binom_row(n))
         if want_mode:
             checked[1] += n // 2 * n
         for k in range(1, n // 2 + 1):
@@ -740,7 +737,7 @@ def verify_pick_fraction_bounds(n_max: int, parts=tuple(range(1, 10))) -> PickBo
             if not want_sum:
                 continue
             C = rows[n][k]
-            sums = _pick_sums(rows, n, k)
+            _, sums = _pick_sums(rows, n, k)
             for part, base, lo, hi in _pick_blocks(n, k):
                 if part not in checked or lo >= hi:
                     continue

@@ -610,12 +610,13 @@ def zmn_exact_tv(touched: WeightDistribution, m: int) -> Fraction:
     """
     if not touched.exact:
         raise ValueError("zmn_exact_tv is exact-only: it needs the exact touched-count profile")
-    n = touched.n
-    # over den m^n: P(support = s) = sum_w nums_w m^(n-w) C(w,s) (m-1)^s
-    thinned = [0] * (n + 1)
-    for w, v in enumerate(touched.nums):
-        if v:
-            t = v * m ** (n - w)
-            thinned[: w + 1] = map(add, thinned[: w + 1], (t * c for c in binom_row(w)))
+    n, nums = touched.n, touched.nums
+    # over den m^n: P(support = s) = sum_w nums_w m^(n-w) C(w,s) (m-1)^s; the
+    # sum over w is the z^s coefficient of sum_w nums_w m^(n-w) (1+z)^w, taken
+    # by Horner's rule in 1 + z: additions, no binomial rows
+    thinned = [nums[n]]
+    for w in range(n - 1, -1, -1):
+        thinned = list(map(add, [0, *thinned], [*thinned, 0]))
+        thinned[0] += nums[w] * m ** (n - w)
     support = [c * (m - 1) ** s for s, c in enumerate(thinned)]
     return tv_to_uniform(WeightDistribution(n, nums=support, den=touched.den * m**n), m)

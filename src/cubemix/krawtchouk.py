@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .numerics import binom_row
-
 
 def _check_point(n: int, j: int, x: int) -> None:
     if n < 0 or not (0 <= j <= n) or not (0 <= x <= n):
@@ -28,13 +26,11 @@ def _check_point(n: int, j: int, x: int) -> None:
 
 
 def kraw_eval(n: int, j: int, x: int) -> Fraction:
-    """K_j(x) by the defining alternating sum, exact."""
+    """K_j(x) by the defining alternating sum, exact, one math.comb per factor."""
     _check_point(n, j, x)
-    rj = binom_row(j)
-    rnj = binom_row(n - j)
     num = 0
     for a in range(max(0, x - (n - j)), min(j, x) + 1):
-        term = rj[a] * rnj[x - a]
+        term = math.comb(j, a) * math.comb(n - j, x - a)
         num = num - term if a & 1 else num + term
     return Fraction(num, math.comb(n, x))
 

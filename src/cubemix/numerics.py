@@ -48,13 +48,13 @@ def binom_row(n: int, m: int = 2) -> tuple[int, ...]:
     """(C(n,0), ..., C(n,w) (m-1)^w, ..., C(n,n) (m-1)^n): the binomial row at m = 2.
 
     At m > 2 it counts the points of (Z/mZ)^n by support size.  Cached per
-    (n, m), however m = 2 is spelled, for scan-heavy loops and the big rows
-    of large n.
+    (n, m), however m = 2 is spelled, in a small cache: a loop that reads
+    many rows holds them itself.
     """
     return _binom_row(n, m)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=8)
 def _binom_row(n: int, m: int) -> tuple[int, ...]:
     # row[w+1] = row[w] (n-w)(m-1) / (w+1), exact at every step: one
     # big-by-small product per entry instead of a full math.comb each

@@ -7,6 +7,7 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import pytest
 
@@ -27,12 +28,11 @@ from cubemix import (
     verify_half_flip_pick_bounds,
     verify_pick_fraction_bounds,
 )
-from cubemix import coupling
+from cubemix import coupling, numerics
 from cubemix.coupling import (
     _draw_mask,
     _even_x2_flipset,
     _mode_bad_ranges,
-    _overlap_mass,
     _pick_sums,
     _sample_pool,
 )
@@ -549,6 +549,21 @@ def test_half_flip_pick_bounds_small_case():
         verify_half_flip_pick_bounds(8)
 
 
+def test_half_flip_rows_match_comb_sums():
+    # every row of both parts, straight from the claim's window of the pmf
+    quarter = Fraction(1, 4)
+    for n in range(2, 103, 4):
+        h = n // 2
+        den = 2 * math.comb(n, h)
+        want = []
+        for y in range(n + 1):
+            for part, lo, on in ((1, y - h, y >= h), (2, -(-y // 4), 1 <= y <= h)):
+                if on:
+                    s = sum(math.comb(y, i) * math.comb(n - y, h - i) for i in range(max(lo, 0), y // 2 + 1))
+                    want.append((part, y, Fraction(s, den), Fraction(s, den) >= quarter))
+        assert [tuple(r) for r in verify_half_flip_pick_bounds(n).rows] == want, n
+
+
 def test_half_flip_pick_bounds_even_y_clean():
     for n in [6, 10, 14, 22]:
         cert = verify_half_flip_pick_bounds(n)
@@ -629,6 +644,19 @@ def test_pick_fraction_bounds_match_fraction_oracle():
         assert got == oracle[r.part], r.part
 
 
+def _overlap_mass(ry: tuple, rny: tuple, k: int, lo: int, hi: int) -> int:
+    """Sum of C(y,i) C(n-y,k-i) over lo <= i <= hi (hi >= -1); ry, rny = binom_row(y), binom_row(n-y).
+
+    The window oracle for the stepped CDFs.  Rows are palindromes, so
+    C(n-y,k-i) = rny[n-y-k+i]: one dot product of aligned slices, which run
+    out at the support's tops y and k.
+    """
+    off = len(rny) - 1 - k
+    lo = lo if lo > 0 else 0
+    lo = lo if lo + off > 0 else -off
+    return sum(map(mul, ry[lo : hi + 1], rny[lo + off : hi + off + 1]))
+
+
 def test_overlap_mass_matches_comb_sums():
     # every window, including ones that overhang the support on either side
     for n in range(0, 13):
@@ -649,11 +677,21 @@ def test_pick_sums_match_overlap_mass():
     for n in range(2, 61):
         rows = [binom_row(m) for m in range(n + 1)]
         for k in range(1, n // 2 + 1):
-            sums = _pick_sums(rows, n, k)
+            ups, sums = _pick_sums(rows, n, k)
             assert len(sums) == n + 1
             for y in range(n + 1):
                 want = _overlap_mass(rows[y], rows[n - y], k, -(-y * k // (2 * n)), y // 2)
                 assert sums[y] == want, (n, k, y)
+                assert ups[y] == _overlap_mass(rows[y], rows[n - y], k, 0, y // 2), (n, k, y)
+
+
+@pytest.mark.parametrize("sweep, size", [(verify_pick_fraction_bounds, 80), (verify_half_flip_pick_bounds, 102)])
+def test_each_sweep_builds_each_binomial_row_once(sweep, size):
+    # rows 0..size, each built once and held by the sweep: re-reading them
+    # through binom_row's small cache would rebuild them over and over
+    numerics._binom_row.cache_clear()
+    sweep(size)
+    assert numerics._binom_row.cache_info().misses <= size + 1
 
 
 @pytest.mark.parametrize("shift", [2, 3, 6])
