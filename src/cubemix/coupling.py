@@ -46,11 +46,12 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, islice
 from operator import sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from .numerics import LN2_LO, binom_row, cmp_ratio_with_ln2, hypergeom_numerators, use_exact
+from .numerics import _binom_terms, _float_profile
 
 # the exact kernels are imported where they are used, so the verifiers load
 # neither exactdist nor spectrum
@@ -295,7 +296,7 @@ def coupling_tail_curve(spec: WalkSpec, lmax: int) -> list[Fraction] | list[floa
         from .exactdist import WeightDistribution, evolve
 
         kernel = coupling_weight_kernel(spec)
-        start = WeightDistribution.binomial(n).to_float()
+        start = WeightDistribution.from_floats(_float_profile(n, 2)[0])
         dists = accumulate(range(lmax), lambda dist, _: evolve(dist, kernel, 1), initial=start)
         return [min(float(dist.vec[1:].sum()), 1.0) for dist in dists]
     C, rows, inflow = math.comb(n, k), _even_rows(n, k), binom_row(n)[::2]
@@ -327,7 +328,7 @@ def expected_coupling_time(spec: WalkSpec, exact: bool | None = None):
     _require_coupling_spec(spec, "expected_coupling_time")
     n, k = spec.n, spec.k
     C2 = 2 * math.comb(n, k)
-    rows, binoms = _even_rows(n, k), binom_row(n)
+    rows = _even_rows(n, k)
     if any(hold == C2 for hold, _ in rows[1:]):
         return math.inf
     if not (use_exact(n) if exact is None else exact):
@@ -335,8 +336,10 @@ def expected_coupling_time(spec: WalkSpec, exact: bool | None = None):
         for j, (hold, moves) in enumerate(rows[1:], 1):
             g = C2 - hold
             h.append(C2 / g + sum(c / g * h[j - a] for a, c in moves.items()))
-        # int / int: a float times C(n, y) overflows at large n
-        return 1 + 2 * sum(binoms[2 * j] / (1 << n) * v for j, v in enumerate(h))
+        # int / int (a float times C(n, y) overflows at large n), streamed: no whole row
+        evens = islice(_binom_terms(n, 2), 0, None, 2)
+        return 1 + 2 * sum(c / (1 << n) * v for c, v in zip(evens, h))
+    binoms = binom_row(n)
     # h[j] / den is h(2j); as den grows by each 2C - hold_y, the running sum
     # and the h that later rows still read (the last k - 1) rescale
     h, den, total = [0], 1, 0

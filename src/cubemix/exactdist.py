@@ -33,12 +33,10 @@ same diagonals in float64, so mass is kept to rounding.  A pick-law
 kernel's float diagonals come from a float64 table of the pick law
 (_pick_law_floats), so a float curve forms no big integer; any other
 kernel's are its integers divided out once.  Both backends reduce
-against the one exact table per (n, m), the support-size counts
-C(n,s)(m-1)^s of numerics.binom_row, whose other forms spectrum
-keeps, so this module builds no table: exact l2 reads its
-cofactors, float TV its correctly rounded profile and float l2 its logs,
-which stay finite where the profile's tail underflows.  The float
-reductions are numpy array expressions, with no per-weight Python loop.
+against numerics' support-size table C(n,s)(m-1)^s, so this module builds
+no table: exact TV reads the row and its logs, exact l2 its cofactors,
+float TV and l2 the profile and logs of numerics._float_profile (which
+never holds the row), as numpy array expressions with no per-weight loop.
 Only the float paths (float distributions, evolution and reductions,
 full_transition_matrix) import numpy, so exact work never loads it.
 
@@ -59,15 +57,8 @@ from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .numerics import EXACT_BACKEND_MAX_N, binom_row, hypergeom_numerators, sum_exp
-from .spectrum import (
-    CyclicWalkSpec,
-    WalkSpec,
-    _cofactors,
-    _log_multiplicities,
-    _log_multiplicity_row,
-    _uniform_weight_float,
-    cube_eigen_numerators,
-)
+from .numerics import _cofactors, _float_profile, _log_multiplicity_row
+from .spectrum import CyclicWalkSpec, WalkSpec, cube_eigen_numerators
 
 if TYPE_CHECKING:
     import numpy as np
@@ -403,7 +394,7 @@ def tv_to_uniform(dist: WeightDistribution, m: int = 2):
     # a TV is at most 1; float evolution keeps mass only to a few ulp, so a
     # sum above 1 is rounding, and 1.0 is nearer the exact value (min with
     # the sum first lets a nan through)
-    return min(0.5 * float(abs(dist.vec - _uniform_weight_float(n, m)).sum()), 1.0)
+    return min(0.5 * float(abs(dist.vec - _float_profile(n, m)[0]).sum()), 1.0)
 
 
 def l2_to_uniform(dist: WeightDistribution, m: int = 2):
@@ -423,9 +414,11 @@ def l2_to_uniform(dist: WeightDistribution, m: int = 2):
         return Fraction(s * m**n - L * d2, L * d2)
     import numpy as np
 
-    # ln (P(s)^2 m^n / (C(n,s)(m-1)^s)) over the sizes carrying mass
+    # ln (P(s)^2 m^n / (C(n,s)(m-1)^s)) over the sizes carrying mass; the
+    # table is read first, so m < 2 meets its ValueError, not math.log(m)'s
+    log_mults = _float_profile(n, m)[1]
     live = dist.vec != 0
-    logs = 2 * np.log(np.abs(dist.vec[live])) + n * math.log(m) - _log_multiplicities(n, m)[live]
+    logs = 2 * np.log(np.abs(dist.vec[live])) + n * math.log(m) - log_mults[live]
     return sum_exp(logs) - 1.0
 
 
@@ -611,6 +604,7 @@ def zmn_exact_tv(touched: WeightDistribution, m: int) -> Fraction:
     if not touched.exact:
         raise ValueError("zmn_exact_tv is exact-only: it needs the exact touched-count profile")
     n, nums = touched.n, touched.nums
+    binom_row(n, m)  # refuses m < 2 before m^n is a zero denominator; cached for tv_to_uniform
     # over den m^n: P(support = s) = sum_w nums_w m^(n-w) C(w,s) (m-1)^s; the
     # sum over w is the z^s coefficient of sum_w nums_w m^(n-w) (1+z)^w, taken
     # by Horner's rule in 1 + z: additions, no binomial rows

@@ -5,14 +5,18 @@ Two numeric regimes are used throughout the package:
   * exact: arbitrary-precision rationals (fractions.Fraction) and plain
     Python integers.  Every probability identity checked in this regime is
     checked without rounding.
-  * floats: for walks too large for rational arithmetic.  The float
-    tables are derived from the exact integers: kernel entries and the
-    uniform profile are each one int / int division (correctly rounded at
-    any size), and log tables are math.log of the exact integers.
-    Positive magnitudes that may leave float range are carried as natural
+  * floats: for walks too large for rational arithmetic.  Positive
+    magnitudes that may leave float range are carried as natural
     logarithms in float64 arrays and summed by numpy's pairwise sum after
     shifting by the largest log (sum_exp), so a sum is inf only when it
     leaves float range itself.
+
+This module owns the support-size table C(n,s)(m-1)^s (the binomial row at
+m = 2) and all its forms, from one ratio recurrence, _binom_terms, which
+refuses m < 2: exact work reads the cached row binom_row, its cofactors
+(exact l2) and its logs (the exact TV's sign pass); float work reads
+_float_profile, each c / m^n correctly rounded and math.log(c), built in
+one pass that holds one integer at a time.
 
 All logarithms are natural logs.  The crossover between the two regimes is
 EXACT_BACKEND_MAX_N, fixed.  use_exact is the one backend rule that every
@@ -56,14 +60,62 @@ def binom_row(n: int, m: int = 2) -> tuple[int, ...]:
 
 @lru_cache(maxsize=8)
 def _binom_row(n: int, m: int) -> tuple[int, ...]:
-    # row[w+1] = row[w] (n-w)(m-1) / (w+1), exact at every step: one
-    # big-by-small product per entry instead of a full math.comb each
+    return tuple(_binom_terms(n, m))
+
+
+def _binom_terms(n: int, m: int):
+    """Yield binom_row(n, m) entry by entry: term[w+1] = term[w] (n-w)(m-1) / (w+1).
+
+    Exact at every step, one big-by-small product per entry, one held.
+    """
     if n < 0:
         raise ValueError(f"binom_row requires n >= 0, got n={n}")
-    row = [1]
+    if m < 2:
+        raise ValueError(f"the support-size table needs a modulus m >= 2, got m={m}")
+    c = 1
     for w in range(n):
-        row.append(row[-1] * ((n - w) * (m - 1)) // (w + 1))
-    return tuple(row)
+        yield c
+        c = c * ((n - w) * (m - 1)) // (w + 1)
+    yield c
+
+
+@lru_cache(maxsize=8)
+def _cofactors(n: int, m: int) -> tuple[int, tuple[int, ...]]:
+    """(L, [L // c]) with L the lcm of binom_row(n, m): each 1/c over one denominator."""
+    row = binom_row(n, m)
+    L = math.lcm(*row)
+    return L, tuple(L // c for c in row)
+
+
+@lru_cache(maxsize=8)
+def _log_multiplicity_row(n: int, m: int) -> tuple[float, ...]:
+    """math.log of each binom_row(n, m) entry, as a tuple of floats.
+
+    The exact TV's sign pass reads it without loading numpy.
+    """
+    return tuple(map(math.log, binom_row(n, m)))
+
+
+@lru_cache(maxsize=8)
+def _float_profile(n: int, m: int = 2):
+    """(c / m^n, math.log(c)) for each c of binom_row(n, m): read-only float64 arrays.
+
+    One pass of _binom_terms, so the row is never held.  Each c / m^n is
+    correctly rounded (0.0 once it underflows), so float TV's profile has
+    mass 1 to within about 2^-53; float l2 reads the logs, which stay finite
+    where the profile's tail underflows (above n = 1074 at m = 2).
+    """
+    import numpy as np
+
+    scale = m**n
+    profile, logs = [], []
+    for c in _binom_terms(n, m):
+        profile.append(c / scale)
+        logs.append(math.log(c))
+    out = np.array(profile), np.array(logs)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def log_binom(n: int, k: int) -> float:

@@ -11,38 +11,33 @@ its eigenvalue on a character of support size w is C(n-w,k)/C(n,k)
 Every level of either walk is a table of integer numerators over one
 denominator with integer multiplicities, and _levels is the one function
 that tells the walks apart: the spectra, the l2 bounds and the l2 curve
-all read their levels from it.  The multiplicities are one cached exact
-table per (n, m), numerics.binom_row(n, m) (the cube is m = 2), which is
-also the uniform law's support-size profile that exactdist reduces against.
-Its other forms are derived here from the same integers: _cofactors (each
-1/c over one lcm, for exact l2), _uniform_weight_float (each c / m^n,
-correctly rounded, for float TV), _log_multiplicity_row (math.log of each
-c, for the exact TV's sign pass) and _log_multiplicities (the same logs as
-an array, for float l2 and the float curve).  _l2_curve yields the l2 sum for
-l = start, start + 1, ...: exactly, by carrying each term's power forward,
-one multiplication by a small squared numerator per term and step; or in
-floats, as one numpy log-space sum per l over the per-level log arrays
-(_log_levels).  A per-l bound is the first value of
-the curve started at l, so bound and curve share one body per backend.
-From a point start it is the chi-square curve, so the CLI's tv curves of
-both walks and both backends read their l2 column from it.  Exact
-rational spectra are the default up to EXACT_BACKEND_MAX_N coordinates
-(numerics.use_exact); beyond that, per-l bounds switch to the float sum.
-numpy is imported only by the float sums and the float tables, krawtchouk
-only by the eigenvalue certificate.  Specs, tables and certificates are
-NamedTuples (immutable, equal by value); the specs check in __new__.
+all read their levels from it.  The multiplicities are numerics'
+support-size table C(n,w)(m-1)^w (the cube is m = 2): the exact row
+binom_row(n, m), or its logs from numerics._float_profile for the float
+sums.  _l2_curve yields the l2 sum for l = start, start + 1, ...:
+exactly, by carrying each term's power forward, one multiplication by a
+small squared numerator per term and step; or in floats, as one numpy
+log-space sum per l over the per-level log arrays (_log_levels).  A per-l
+bound is the first value of the curve started at l, so bound and curve
+share one body per backend.  From a point start it is the chi-square
+curve, so the CLI's tv curves of both walks and both backends read their
+l2 column from it.  Exact rational spectra are the default up to
+EXACT_BACKEND_MAX_N coordinates (numerics.use_exact); beyond that, per-l
+bounds switch to the float sum.  numpy is imported only by the float
+sums, krawtchouk only by the eigenvalue certificate.  Specs, tables and
+certificates are NamedTuples (immutable, equal by value); the specs check
+in __new__.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .numerics import binom_row, sum_exp, use_exact
+from .numerics import _float_profile, binom_row, sum_exp, use_exact
 
 
 class WalkSpec(NamedTuple("WalkSpec", [("n", int), ("k", int), ("p", Fraction)])):
@@ -113,52 +108,6 @@ def cube_eigen_numerators(spec: WalkSpec) -> tuple[list[int], int]:
     for j in range(1, n):
         kap.append(((n - 2 * k) * kap[j] - j * kap[j - 1]) // (n - j))
     return [a * C + (q - a) * v for v in kap], q * C
-
-
-@functools.lru_cache(maxsize=8)
-def _cofactors(n: int, m: int) -> tuple[int, tuple[int, ...]]:
-    """(L, [L // c]) with L the lcm of binom_row(n, m): each 1/c over one denominator."""
-    row = binom_row(n, m)
-    L = math.lcm(*row)
-    return L, tuple(L // c for c in row)
-
-
-@functools.lru_cache(maxsize=8)
-def _uniform_weight_float(n: int, m: int = 2):
-    """C(n, s) (m-1)^s / m^n for s = 0..n, each entry one correctly rounded int / int.
-
-    A read-only float64 array, since every float TV of the curve reads it.
-    Each entry is within half an ulp of the exact value (0.0 once it
-    underflows), so the mass is 1 to within about 2^-53.
-    """
-    import numpy as np
-
-    scale = m**n
-    out = np.array([c / scale for c in binom_row(n, m)])
-    out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=8)
-def _log_multiplicity_row(n: int, m: int) -> tuple[float, ...]:
-    """math.log of each binom_row(n, m) entry, as a tuple of floats.
-
-    The exact TV's sign pass reads it without loading numpy.
-    """
-    return tuple(map(math.log, binom_row(n, m)))
-
-
-@functools.lru_cache(maxsize=8)
-def _log_multiplicities(n: int, m: int):
-    """_log_multiplicity_row(n, m) as a read-only float64 array.
-
-    Float l2 works in logs: above n = 1074 the tail of C(n,w) / 2^n is 0.0.
-    """
-    import numpy as np
-
-    out = np.array(_log_multiplicity_row(n, m))
-    out.flags.writeable = False
-    return out
 
 
 def _levels(spec) -> tuple[int, list[int], int]:
@@ -254,7 +203,7 @@ def _log_levels(spec):
             log_eig_sq[j] = 2 * math.log(r)
         elif v:
             log_eig_sq[j] = 2 * (math.log(abs(v)) - math.log(den))
-    return _log_multiplicities(spec.n, m)[1:], np.array(log_eig_sq)
+    return _float_profile(spec.n, m)[1][1:], np.array(log_eig_sq)
 
 
 def _l2_curve(spec, exact: bool = True, start: int = 0):

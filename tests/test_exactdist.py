@@ -35,8 +35,8 @@ from cubemix import (
     zmn_exact_tv,
     zmn_l2_upper_bound,
 )
-from cubemix.exactdist import WeightKernel, _pick_law_floats, _subset_flip_sum, _uniform_weight_float
-from cubemix.numerics import binom_row, hypergeom_numerators
+from cubemix.exactdist import WeightKernel, _pick_law_floats, _subset_flip_sum
+from cubemix.numerics import _float_profile, binom_row, hypergeom_numerators
 
 HALF = Fraction(1, 2)
 
@@ -164,7 +164,7 @@ def test_float_uniform_profile_has_unit_mass():
     # The lgamma profile C(n, w)/2^n was off by up to 1.8e-12 in mass, so the
     # float TV of a point mass read above 1 (1.000000000000888 at n=5000).
     for n in (400, 2000, 5000):
-        assert abs(math.fsum(_uniform_weight_float(n)) - 1.0) <= 1e-15
+        assert abs(math.fsum(_float_profile(n)[0]) - 1.0) <= 1e-15
         tv = tv_to_uniform(WeightDistribution.delta(n).to_float())
         assert 1.0 - 1e-15 <= tv <= 1.0
 
@@ -177,7 +177,50 @@ def test_float_uniform_profile_is_correctly_rounded(n):
     for m in (2, 3, 5):
         scale = m**n
         want = [c * (m - 1) ** s / scale for s, c in enumerate(row)]
-        assert _uniform_weight_float(n, m).tolist() == want, m
+        assert _float_profile(n, m)[0].tolist() == want, m
+        assert _float_profile(n, m)[1].tolist() == [math.log(c) for c in binom_row(n, m)], m
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("reduce", [tv_to_uniform, l2_to_uniform, zmn_exact_tv])
+def test_reductions_refuse_a_modulus_below_two(reduce, exact, m):
+    # the support-size table's recurrence refuses m < 2 for every reduction;
+    # zmn_exact_tv reduces the touched-count profile and is exact-only
+    if reduce is zmn_exact_tv:
+        dist = evolve(WeightDistribution.delta(6), touched_weight_kernel(CyclicWalkSpec(6, 3, 3)), 3)
+        if not exact:
+            with pytest.raises(ValueError, match="exact-only"):
+                reduce(dist.to_float(), m)
+            return
+    else:
+        dist = evolve(WeightDistribution.delta(6), flip_weight_kernel(WalkSpec(6, 3)), 3)
+    with pytest.raises(ValueError, match=f"^the support-size table needs a modulus m >= 2, got m={m}$"):
+        reduce(dist if exact else dist.to_float(), m)
+
+
+def test_no_float_path_builds_the_exact_row(monkeypatch, tmp_path):
+    # the float forms stream the table's recurrence; only the cyclic support
+    # kernel's small binom_row(k, m) may build a row
+    from cubemix import cli, coupling_tail_curve, expected_coupling_time, numerics
+
+    calls = []
+    build = numerics._binom_row
+
+    def record(n, m):
+        calls.append((n, m))
+        return build(n, m)
+
+    monkeypatch.setattr(numerics, "_binom_row", record)
+    tv = ["tv", "--n", "1001", "--k", "3", "--steps", "3", "--backend", "float", "--output"]
+    assert cli.main([*tv, str(tmp_path / "cube.csv")]) == 0
+    assert cli.main([*tv, str(tmp_path / "cyclic.csv"), "--m", "3"]) == 0
+    coupling_tail_curve(WalkSpec(1001, 5), 3)
+    expected_coupling_time(WalkSpec(1001, 5), exact=False)
+    l2_upper_bound(WalkSpec(1001, 3), 5, exact=False)
+    zmn_l2_upper_bound(CyclicWalkSpec(1001, 3, 3), 5, exact=False)
+    assert (3, 3) in calls
+    assert [c for c in calls if c[0] == 1001] == []
 
 
 def test_float_tv_stays_at_most_one_while_the_laws_are_nearly_disjoint():
@@ -200,7 +243,7 @@ def test_float_l2_matches_exact_where_the_uniform_profile_underflows():
     n = 1100
     d = evolve(WeightDistribution.delta(n), flip_weight_kernel(WalkSpec(n, 3)), 60)
     fd = d.to_float()
-    assert ((_uniform_weight_float(n) == 0) & (fd.vec > 0)).any()
+    assert ((_float_profile(n)[0] == 0) & (fd.vec > 0)).any()
     exact = l2_to_uniform(d)
     assert l2_to_uniform(fd) == pytest.approx(float(exact), rel=1e-12)
 
