@@ -37,8 +37,9 @@ The half-flip certificate takes both of its parts from the one sweep at
 k = n/2.  The all-(n, k) sweep checks each claim on a run of y at once:
 the run's minimum, and the cells one by one only when that fails.  Its
 mode-threshold part visits only the y where the threshold and the ratio
-test's boundary are far enough apart to disagree, found per (n, k).  Each
-sweep builds its binomial rows once and holds them.
+test's boundary are far enough apart to disagree, found per (n, k).  The
+all-(n, k) sweep builds each binomial row once and holds them all; the
+half-flip sweep holds two (Pascal's rule up, its inverse down).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, islice
-from operator import sub
+from operator import add, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from .numerics import LN2_LO, binom_row, cmp_ratio_with_ln2, hypergeom_numerators, use_exact
@@ -521,11 +522,16 @@ def verify_half_flip_pick_bounds(n: int) -> HalfPickCertificate:
     if n % 4 != 2:
         raise ValueError(f"verify_half_flip_pick_bounds requires n = 2 mod 4, got n={n}")
     h = n // 2
-    table = [binom_row(m) for m in range(n + 1)]
+    # step y reads rows y and n-y-1 only, so the sweep holds two rows: 0..n-1
+    # by Pascal's rule, and n-1..0 by its inverse r'[j] = r[j] - r'[j-1]
+    up = accumulate(range(n - 1), lambda r, _: (1, *map(add, r, r[1:]), 1), initial=(1,))
+    down = accumulate(
+        range(n - 1), lambda r, _: tuple(accumulate(r[1:-1], lambda a, c: c - a, initial=1)), initial=binom_row(n - 1)
+    )
     # part 1's window starts at y - h, below which C(n-y, h-i) = 0, so it is
     # the whole CDF ups[y]; part 2's starts at ceil(y/4) = ceil(yh/2n): sums[y]
-    ups, sums = _pick_sums(table, n, h)
-    den = 2 * table[n][h]
+    ups, sums = _pick_sums(up, down, n, h)
+    den = 2 * math.comb(n, h)
     quarter = Fraction(1, 4)
     rows = []
     viol = []
@@ -592,12 +598,13 @@ class PickBoundsCertificate(NamedTuple):
 _SAMPLE_CAP = 40
 
 
-def _pick_sums(rows: list, n: int, k: int) -> tuple[list[int], list[int]]:
+def _pick_sums(ascending, descending, n: int, k: int) -> tuple[list[int], list[int]]:
     """(ups, sums) over y = 0..n: ups[y] = G(y, y//2) and sums[y] = s(y).
 
     G(y, j) = sum_{i <= j} C(y,i) C(n-y,k-i) is the hypergeometric CDF and
-    s(y) the sum over ceil(yk/2n) <= i <= y//2; rows[m] is binom_row(m) for
-    m <= n, and 1 <= k <= n/2.  s(y) = G(y, y//2) - G(y, j(y)) for
+    s(y) the sum over ceil(yk/2n) <= i <= y//2; ascending yields binom_row(m)
+    for m = 0..n-1 and descending for m = n-1..0 (step y reads rows y and
+    n-y-1 only), and 1 <= k <= n/2.  s(y) = G(y, y//2) - G(y, j(y)) for
     j(y) = ceil(yk/2n) - 1, and both terms are stepped in y, not summed:
     G(y+1, j) = G(y, j) - C(y,j) C(n-y-1,k-j-1) and
     G(y, j+1) = G(y, j) + C(y,j+1) C(n-y,k-j-1).  With k <= n/2 each limit
@@ -606,11 +613,10 @@ def _pick_sums(rows: list, n: int, k: int) -> tuple[list[int], list[int]]:
     y costs at most two big-integer products, one per limit; a factor off the
     table (j < 0, or k-j-1 outside 0..n-y-1) is 0 and its step is skipped.
     """
-    up, low = rows[n][k], 0  # G(0, 0) and G(0, -1)
+    up, low = math.comb(n, k), 0  # G(0, 0) and G(0, -1)
     j, yk, edge = -1, 0, 0  # edge = 2n(j + 1): j rises once yk passes it
     ups, sums = [up], [up]
-    for y in range(n):
-        ry, rest = rows[y], rows[n - y - 1]
+    for y, ry, rest in zip(range(n), ascending, descending):
         h = y >> 1
         if h < k:
             # k - h - 1 <= n - y - 1 because k <= n/2
@@ -740,7 +746,7 @@ def verify_pick_fraction_bounds(n_max: int, parts=tuple(range(1, 10))) -> PickBo
             if not want_sum:
                 continue
             C = rows[n][k]
-            _, sums = _pick_sums(rows, n, k)
+            _, sums = _pick_sums(rows, rows[-2::-1], n, k)
             for part, base, lo, hi in _pick_blocks(n, k):
                 if part not in checked or lo >= hi:
                     continue

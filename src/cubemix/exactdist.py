@@ -45,7 +45,7 @@ NamedTuple) without any lumping assumption and exists to certify the lumped
 chain against direct enumeration.  sum_{|s|=k} f(x xor s) is accumulated
 coordinate by coordinate (an exact regrouping of the naive subset sum),
 which keeps the n <= 14 regime tractable at fifty steps.  Only the
-character-inversion oracle spectral_dist loads krawtchouk.
+character-inversion oracle spectral_dist loads krawtchouk's table (by rows).
 """
 
 from __future__ import annotations
@@ -533,9 +533,11 @@ def spectral_dist(spec: WalkSpec, l: int) -> WeightDistribution:
 
     P^l(x) = 2^-n sum_z eigenvalue(|z|)^l (-1)^(z.x); summing characters of
     fixed weight gives integer Krawtchouk coefficients, so the whole
-    inversion stays in integer arithmetic.  Exact-only by design: the
-    alternating sum cancels catastrophically in floats, and the float
-    regime is served by evolve() on the lumped kernel instead.
+    inversion stays in integer arithmetic.  As C(n,w) kappa[j][w] =
+    C(n,j) kappa[w][j], weight w is row w dotted with C(n,j) eig_j^l.
+    Exact-only by design: the alternating sum cancels catastrophically in
+    floats, and the float regime is served by evolve() on the lumped kernel
+    instead.
     """
     from .krawtchouk import kraw_integer_table
 
@@ -547,17 +549,9 @@ def spectral_dist(spec: WalkSpec, l: int) -> WeightDistribution:
     if l < 0:
         raise ValueError(f"spectral_dist requires l >= 0, got l={l}")
     eig_nums, eig_den = cube_eigen_numerators(spec)
-    kap = kraw_integer_table(n)
-    pw = [e**l for e in eig_nums]
-    mult = binom_row(n)
-    nums = []
-    for w in range(n + 1):
-        s = 0
-        for j in range(n + 1):
-            s += kap[j][w] * pw[j]
-        nums.append(mult[w] * s)
-    den = eig_den**l * (1 << n)
-    return WeightDistribution(n, nums=nums, den=den)
+    levels = [c * e**l for c, e in zip(binom_row(n), eig_nums)]
+    nums = [sum(map(mul, row, levels)) for row in kraw_integer_table(n)]
+    return WeightDistribution(n, nums=nums, den=eig_den**l * (1 << n))
 
 
 def touched_weight_kernel(cspec: CyclicWalkSpec) -> WeightKernel:

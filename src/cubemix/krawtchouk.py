@@ -4,14 +4,14 @@ K_j(x) here denotes the degree-j polynomial with K_j(0) = 1:
 
     K_j(x) = sum_a (-1)^a C(j,a) C(n-j, x-a) / C(n,x)
 
-The integer-level fact that drives the character inversion is verified
-exactly by the test suite rather than assumed:
-
-  * self-duality: K_j(x) = K_x(j); the integer table
-    kappa_j(x) = sum_a (-1)^a C(x,a) C(n-x, j-a) = C(n,j) K_j(x) collects
-    the z^j coefficients of (1-z)^x (1+z)^(n-x).
-
-Eigenvalues of the cube walk are built in spectrum.cube_eigen_numerators.
+The integer table kappa[j][w] = sum_a (-1)^a C(w,a) C(n-w, j-a) =
+C(n,j) K_j(w), the z^j coefficients of (1-z)^w (1+z)^(n-w), drives the
+character inversion.  It is built from spectrum.kraw_row, the package's one
+Krawtchouk recurrence, by self-duality K_j(w) = K_w(j): row j is
+C(n,j) K_w(j) over w, kraw_row(n, j).  The test suite checks self-duality
+and the table against the defining sum (kraw_eval), the generating function
+and the three-term recurrence in j; kraw_eval and the closed form kraw_half
+stay as references.
 """
 
 from __future__ import annotations
@@ -36,24 +36,12 @@ def kraw_eval(n: int, j: int, x: int) -> Fraction:
 
 
 def kraw_integer_table(n: int) -> list[list[int]]:
-    """kappa[j][w] = sum_a (-1)^a C(w,a) C(n-w, j-a) for 0 <= j, w <= n.
+    """kappa[j][w] = C(n,j) K_j(w) for 0 <= j, w <= n: row j is spectrum.kraw_row(n, j)."""
+    from .spectrum import kraw_row
 
-    Integer-valued; satisfies (j+1) kappa_{j+1} = (n-2w) kappa_j
-    - (n-j+1) kappa_{j-1}.  Row j relates to the normalized polynomial by
-    kappa[j][w] = C(n,j) K_j(w).
-    """
     if n < 0:
         raise ValueError(f"kraw_integer_table requires n >= 0, got {n}")
-    rows = [[1] * (n + 1)]
-    if n == 0:
-        return rows
-    rows.append([n - 2 * w for w in range(n + 1)])
-    for j in range(1, n):
-        prev, cur = rows[j - 1], rows[j]
-        rows.append(
-            [((n - 2 * w) * cur[w] - (n - j + 1) * prev[w]) // (j + 1) for w in range(n + 1)]
-        )
-    return rows
+    return [kraw_row(n, j) for j in range(n + 1)]
 
 
 def kraw_half(n: int, j: int) -> Fraction:

@@ -8,6 +8,10 @@ on (Z/mZ)^n picks a uniform k-subset and adds independent uniform digits;
 its eigenvalue on a character of support size w is C(n-w,k)/C(n,k)
 (independent of m), with multiplicity C(n,w)(m-1)^w.
 
+kraw_row is the package's one Krawtchouk recurrence: C(n,x) K_j(x) for
+j = 0..n.  Its row at x = k gives the cube walk's levels, and by
+self-duality (K_j(x) = K_x(j)) its rows x = 0..n are krawtchouk's table.
+
 Every level of either walk is a table of integer numerators over one
 denominator with integer multiplicities, and _levels is the one function
 that tells the walks apart: the spectra, the l2 bounds and the l2 curve
@@ -92,22 +96,28 @@ class SpectrumTable(NamedTuple):
         return out
 
 
+def kraw_row(n: int, x: int) -> list[int]:
+    """[C(n,x) K_j(x) for j = 0..n], by (n-j) kappa_{j+1} = (n-2x) kappa_j - j kappa_{j-1}.
+
+    The divisions are exact, so no rounding or gcd work happens at any n; at
+    j = 0 the kappa_{j-1} term has factor 0, whatever kap[-1] holds.
+    """
+    kap = [math.comb(n, x)]
+    for j in range(n):
+        kap.append(((n - 2 * x) * kap[j] - j * kap[j - 1]) // (n - j))
+    return kap
+
+
 def cube_eigen_numerators(spec: WalkSpec) -> tuple[list[int], int]:
     """Integer numerators of every cube eigenvalue over one denominator.
 
     Returns (nums, den) with eigenvalue_j = nums[j] / den for j = 0..n, where
-    nums[j] = a C(n,k) + (q-a) kappa_j, p = a/q and den = q C(n,k).  The
-    integers kappa_j = C(n,k) K_j(k) follow the three-term recurrence
-    (n-j) kappa_{j+1} = (n-2k) kappa_j - j kappa_{j-1}, whose divisions are
-    exact, so no rounding or gcd work happens at any n.
+    nums[j] = a C(n,k) + (q-a) kappa_j, p = a/q, den = q C(n,k) and
+    kappa = kraw_row(n, k).
     """
-    n, k = spec.n, spec.k
     a, q = spec.p.numerator, spec.p.denominator
-    C = math.comb(n, k)
-    kap = [C, C * (n - 2 * k) // n]
-    for j in range(1, n):
-        kap.append(((n - 2 * k) * kap[j] - j * kap[j - 1]) // (n - j))
-    return [a * C + (q - a) * v for v in kap], q * C
+    C = math.comb(spec.n, spec.k)
+    return [a * C + (q - a) * v for v in kraw_row(spec.n, spec.k)], q * C
 
 
 def _levels(spec) -> tuple[int, list[int], int]:

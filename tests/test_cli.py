@@ -609,6 +609,8 @@ _NUMPY_FREE = {
     "verify-general": ["verify", "--lemma", "general", "--n-max", "12"],
     "couple": ["couple", "--n", "8", "--k", "3", "--trials", "50", "--steps", "10"],
     "verify-eig34": ["verify", "--lemma", "eig34", "--n", "6"],
+    "verify-symmetry": ["verify", "--lemma", "symmetry", "--n", "6"],
+    "verify-probineq": ["verify", "--lemma", "probineq", "--n", "6"],
 }
 
 # the cubemix modules each command must not load: it runs none of their code
@@ -620,6 +622,8 @@ _NOT_LOADED = {
     "verify-general": {"bounds", "exactdist", "spectrum", "krawtchouk"},
     "couple": {"bounds", "exactdist", "krawtchouk"},
     "verify-eig34": {"coupling", "bounds"},
+    "verify-symmetry": {"spectrum", "exactdist", "coupling", "bounds", "numerics"},
+    "verify-probineq": {"exactdist", "spectrum", "krawtchouk", "bounds"},
 }
 
 

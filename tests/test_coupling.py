@@ -5,6 +5,7 @@ import hashlib
 import math
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -677,7 +678,7 @@ def test_pick_sums_match_overlap_mass():
     for n in range(2, 61):
         rows = [binom_row(m) for m in range(n + 1)]
         for k in range(1, n // 2 + 1):
-            ups, sums = _pick_sums(rows, n, k)
+            ups, sums = _pick_sums(rows[:n], rows[n - 1 :: -1], n, k)
             assert len(sums) == n + 1
             for y in range(n + 1):
                 want = _overlap_mass(rows[y], rows[n - y], k, -(-y * k // (2 * n)), y // 2)
@@ -692,6 +693,20 @@ def test_each_sweep_builds_each_binomial_row_once(sweep, size):
     numerics._binom_row.cache_clear()
     sweep(size)
     assert numerics._binom_row.cache_info().misses <= size + 1
+
+
+def test_half_flip_sweep_holds_two_rows():
+    # rows 0..n-1 are stepped up by Pascal's rule and down by its inverse from
+    # the one cached row n-1, so the sweep's memory is O(n^2) bits, not O(n^3)
+    numerics._binom_row.cache_clear()
+    tracemalloc.start()
+    try:
+        verify_half_flip_pick_bounds(1002)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert numerics._binom_row.cache_info().misses <= 1
 
 
 @pytest.mark.parametrize("shift", [2, 3, 6])

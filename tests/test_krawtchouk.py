@@ -1,9 +1,11 @@
 """Krawtchouk table checks against independent oracles.
 
-The eigenvalue recurrence (spectrum.cube_eigen_numerators) and the integer
-kappa table are each compared with the defining alternating sum, and the
-integer table additionally with the coefficients of the generating function
-(1-z)^w (1+z)^(n-w), computed here by direct polynomial multiplication.
+The integer kappa table is built from the eigenvalue recurrence
+(spectrum.kraw_row) by self-duality, so both are compared with the defining
+alternating sum, and the table additionally with the coefficients of the
+generating function (1-z)^w (1+z)^(n-w), computed here by direct
+polynomial multiplication, and with the three-term recurrence in the row
+index, which src does not use.
 """
 
 import math
@@ -69,6 +71,21 @@ def test_integer_table_is_scaled_eval():
             cj = math.comb(n, j)
             for w in range(n + 1):
                 assert kap[j][w] == cj * kraw_eval(n, j, w)
+
+
+def test_integer_table_satisfies_row_index_recurrence():
+    # (j+1) kappa_{j+1}(w) = (n-2w) kappa_j(w) - (n-j+1) kappa_{j-1}(w), from
+    # row 0 = all ones and row 1 = n - 2w
+    for n in range(0, 61):
+        kap = kraw_integer_table(n)
+        assert len(kap) == n + 1 and all(len(row) == n + 1 for row in kap)
+        assert kap[0] == [1] * (n + 1)
+        if n:
+            assert kap[1] == [n - 2 * w for w in range(n + 1)]
+        for j in range(1, n):
+            for w in range(n + 1):
+                lhs = (j + 1) * kap[j + 1][w]
+                assert lhs == (n - 2 * w) * kap[j][w] - (n - j + 1) * kap[j - 1][w], (n, j, w)
 
 
 def _poly_mul(a, b):
