@@ -582,6 +582,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"cubemix: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # e.g. couple's per-step tally at --steps near sys.maxsize
+        print("cubemix: error: out of memory", file=sys.stderr)
+        return 1
     finally:
         if saved is not None:
             sys.set_int_max_str_digits(saved)

@@ -24,8 +24,12 @@ and C = C(n, k), halves the odd binomial, so step l hands the even states
 the even states alone, E[T] with no solve.  The simulator steps only the
 mismatch mask x1 xor x2, as an n-bit int: every move above reads and
 changes the pair through that mask alone, and T is the first time it
-empties.  It draws each k-subset with random.sample's algorithm inlined, so
-it consumes the same getrandbits stream as rng.sample(range(n), k) would.
+empties.  A trial runs in two phases: independent lazy steps while y is
+odd, then, once the parity flips, a loop of even moves with no parity test
+(they lower y by 2a, so y stays even), which ends when the mask empties.
+Each k-subset is random.sample's algorithm inlined, so it consumes the same
+getrandbits stream as rng.sample(range(n), k) would; the even loop reads
+each draw's bit off a table, which also rejects the draws sample rejects.
 
 The verifiers at the bottom certify, in exact arithmetic, the hypergeometric
 pick-probability inequalities that drive the coupling time analysis, and
@@ -61,6 +65,8 @@ if TYPE_CHECKING:
     from .spectrum import WalkSpec
 
 MARGINAL_CHECK_MAX_N = 8
+# simulate_coupling lists its subset draws' bits up to here (about 1 MB)
+_BIT_TABLE_MAX_N = 4096
 
 
 class CoupledState(NamedTuple("CoupledState", [("n", int), ("x1", int), ("x2", int), ("y", int)])):
@@ -120,6 +126,21 @@ def _sample_pool(n: int, k: int) -> list[int] | None:
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
     return list(range(n)) if n <= setsize else None
+
+
+class _Bits(dict):
+    """The simulator's bit table above _BIT_TABLE_MAX_N: 1 << j for j < n, else 0, made per read.
+
+    A list of all n of them would hold n^2/16 bytes (225 MB at n = 60000).
+    """
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __missing__(self, j: int) -> int:
+        return 1 << j if j < self.n else 0
 
 
 def _draw_mask(getrandbits, n: int, k: int, pool: list[int] | None) -> int:
@@ -389,8 +410,16 @@ def simulate_coupling(spec: WalkSpec, trials: int, max_steps: int, seed: int) ->
     generators are derived from the seed by SHA-256 of
     "cubemix-couple:<seed>:<trial>", so results are reproducible across
     platforms and independent across trials.  The getrandbits calls are
-    coupled_step's, in its order: odd y XORs each moving chain's subset into
-    m, even y clears the repaired bits, and y is kept as a running count.
+    coupled_step's, in its order, in two phases.  While y is odd, each
+    moving chain's subset (_draw_mask) is XORed into m until the parity
+    flips.  From then on y is even: each move clears the bits
+    _repaired_bits would, in m itself, and y is kept as a running count.
+    The even loop draws subsets through tables: bit[j] is 1 << j for j < n
+    and 0 for the j the set branch rejects, so one index and one OR both
+    reject a draw or a repeat and add its bit; the pool branch shrinks a
+    copy of the index pool, reads each pick's (size, width) from a list and
+    its bit from the table.  Above _BIT_TABLE_MAX_N the bits are made per
+    read instead of listed.
     """
     from hashlib import sha256
 
@@ -400,44 +429,77 @@ def simulate_coupling(spec: WalkSpec, trials: int, max_steps: int, seed: int) ->
             f"simulate_coupling needs trials >= 1, max_steps >= 0, got trials={trials}, max_steps={max_steps}"
         )
     n, k = spec.n, spec.k
-    # the even-y draw inlines _draw_mask's set branch; the pool branch calls it
     pool = _sample_pool(n, k)
+    # the even loop's draw tables; bit[j] = 0 for j >= n grows no mask
     nbits = n.bit_length()
+    if n <= _BIT_TABLE_MAX_N:
+        bit = [1 << j for j in range(n)] + [0] * ((1 << nbits) - n)
+    else:
+        bit = _Bits(n)
+    widths = [(size, size.bit_length()) for size in range(n, n - k, -1)]
     picks = range(k)
+    censored = max_steps + 1
     ends = [0] * (max_steps + 2)  # ends[T] += 1; T = max_steps + 1 if censored
+    # one generator, reseeded per trial: the state random.Random(x) would build
+    rng = random.Random()
+    reseed, getrandbits = rng.seed, rng.getrandbits
     for trial in range(trials):
         digest = sha256(f"cubemix-couple:{seed}:{trial}".encode()).digest()
-        getrandbits = random.Random(int.from_bytes(digest, "big")).getrandbits
+        reseed(int.from_bytes(digest, "big"))
         m = getrandbits(n)
         y = m.bit_count()
         t = 0
-        while m and t < max_steps:
-            t += 1
-            if y & 1:
-                # independent lazy steps: each moving chain's subset lands in m
+        if y & 1:
+            # independent lazy steps, each moving chain's subset landing in
+            # m, until the parity flips (k is odd)
+            for t in range(1, censored):
                 if not getrandbits(1):
                     m ^= _draw_mask(getrandbits, n, k, pool)
                 if not getrandbits(1):
                     m ^= _draw_mask(getrandbits, n, k, pool)
                 y = m.bit_count()
-                continue
-            if getrandbits(1):
-                continue
-            if pool is None:
-                smask = 0
-                for _ in picks:
-                    j = getrandbits(nbits)
-                    while j >= n or (grown := smask | 1 << j) == smask:
-                        j = getrandbits(nbits)
-                    smask = grown
+                if not y & 1:
+                    break
             else:
-                smask = _draw_mask(getrandbits, n, k, pool)
-            # with S & m empty, or 2a > y, both chains flip S and m stays
-            if smask & m:
-                repaired = _repaired_bits(m, smask)
-                m ^= repaired
-                y -= repaired.bit_count()
-        ends[t if not m else max_steps + 1] += 1
+                ends[censored] += 1
+                continue
+        if y:
+            # even moves lower y by 2a, so it stays even until it reaches 0
+            for t in range(t + 1, censored):
+                if getrandbits(1):
+                    continue
+                smask = 0
+                if pool is None:
+                    for _ in picks:
+                        while (grown := smask | bit[getrandbits(nbits)]) == smask:
+                            pass
+                        smask = grown
+                else:
+                    left = pool[:]
+                    for size, width in widths:
+                        j = getrandbits(width)
+                        while j >= size:
+                            j = getrandbits(width)
+                        smask |= bit[left[j]]
+                        left[j] = left[size - 1]
+                # _repaired_bits on m itself: with S & m empty, or 2a > y,
+                # both chains flip S and m stays; else m drops S & m and,
+                # for each of its bits, the next free bit above (cyclically)
+                inter = smask & m
+                if inter and 2 * (a := inter.bit_count()) <= y:
+                    m ^= inter
+                    while inter:
+                        lsb = inter & -inter
+                        above = m & -(lsb << 1)
+                        m ^= (above & -above) or (m & -m)
+                        inter ^= lsb
+                    y -= 2 * a
+                    if not y:
+                        break
+            else:
+                ends[censored] += 1
+                continue
+        ends[t] += 1
     # survivors[l] counts the trials with T > l
     survivors = tuple(accumulate(ends[: max_steps + 1], sub, initial=trials))[1:]
     return CouplingTailReport(

@@ -113,11 +113,6 @@ class WeightDistribution:
         return cls(n, nums=nums, den=1)
 
     @classmethod
-    def binomial(cls, n: int) -> "WeightDistribution":
-        """Weight profile of the uniform distribution on {0,1}^n."""
-        return cls(n, nums=list(binom_row(n)), den=1 << n)
-
-    @classmethod
     def from_floats(cls, vec) -> "WeightDistribution":
         return cls(len(vec) - 1, vec=vec)
 

@@ -568,6 +568,16 @@ def test_domain_errors_name_the_flag(argv, message, tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [f"cubemix: error: {message}"]
 
 
+def test_couple_steps_at_the_top_of_the_range_is_one_line(tmp_path, capsys):
+    # inside the --steps guard, but the per-step tally of sys.maxsize
+    # entries is refused at once, with nothing allocated
+    out = tmp_path / "out"
+    argv = ["couple", "--n", "8", "--k", "3", "--trials", "1", "--steps", str(sys.maxsize - 2)]
+    assert main(argv + ["--output", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == ["cubemix: error: out of memory"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

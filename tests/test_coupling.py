@@ -16,7 +16,6 @@ from cubemix import (
     CoupledState,
     CouplingTailReport,
     WalkSpec,
-    WeightDistribution,
     coupled_step,
     coupling_tail_curve,
     coupling_weight_kernel,
@@ -295,7 +294,7 @@ def test_coupling_tail_curve_frozen_tiny_case():
         coupling_tail_curve(WalkSpec(2, 1), -1)
 
 
-def test_float_coupling_tail_matches_exact(monkeypatch):
+def test_float_coupling_tail_matches_exact(monkeypatch, binomial_start):
     # above EXACT_BACKEND_MAX_N the curve evolves the binomial start in
     # floats; forced below it, the float curve tracks the exact one to
     # rounding, and a small tail keeps its relative accuracy
@@ -306,7 +305,7 @@ def test_float_coupling_tail_matches_exact(monkeypatch):
     exact = {(n, k): coupling_tail_curve(WalkSpec(n, k), 200) for n, ks in cases.items() for k in ks}
     # at l = 1500 the tail is 7.6e-48, where 1 - vec[0] is off by 1e32 relative
     far_spec = WalkSpec(40, 3)
-    far = 1 - evolve(WeightDistribution.binomial(40), coupling_weight_kernel(far_spec), 1500).prob(0)
+    far = 1 - evolve(binomial_start(40), coupling_weight_kernel(far_spec), 1500).prob(0)
     monkeypatch.setattr(coupling, "use_exact", lambda n: False)
     for (n, k), want in exact.items():
         got = coupling_tail_curve(WalkSpec(n, k), 200)
@@ -366,7 +365,7 @@ def _odd_k_specs(n_max):
     return [WalkSpec(n, k) for n in range(1, n_max + 1) for k in range(1, n + 1, 2)]
 
 
-def test_full_kernel_keeps_the_odd_binomial_and_the_even_chain_tails():
+def test_full_kernel_keeps_the_odd_binomial_and_the_even_chain_tails(binomial_start):
     # the full kernel is the reference the even chain is held to: from the
     # binomial start its odd entries are exactly 2^-l C(n, y)/2^n, and its
     # absorbed mass gives the tail the even chain steps alone
@@ -375,7 +374,7 @@ def test_full_kernel_keeps_the_odd_binomial_and_the_even_chain_tails():
         kernel = coupling_weight_kernel(spec)
         tails = coupling_tail_curve(spec, 30)
         row = binom_row(n)
-        dist = WeightDistribution.binomial(n)
+        dist = binomial_start(n)
         for l in range(31):
             if l:
                 dist = evolve(dist, kernel, 1)
@@ -525,7 +524,17 @@ def _oracle_simulation(spec, trials, max_steps, seed):
     [(2, 1, 200, 12), (12, 3, 200, 30), (54, 27, 60, 40), (100, 5, 150, 50), (100, 7, 60, 40),
      # random.sample's pool/set switch points for k = 5 (setsize 21) and
      # k = 7 (setsize 85): the last pool n and the first set n of each
-     (21, 5, 150, 40), (22, 5, 150, 40), (85, 7, 60, 40), (86, 7, 60, 40)],
+     (21, 5, 150, 40), (22, 5, 150, 40), (85, 7, 60, 40), (86, 7, 60, 40),
+     # k = n: no even move repairs, but odd y = n meets when one chain
+     # moves, before any even step; bit tables with 1 and with 128
+     # rejection slots, at k = 5 and, so that trials meet within
+     # max_steps, at k = 21 (the largest k there with no pool); no step
+     # and one step; the bits made per read above the table's cutoff, on
+     # the set branch (k = 341, the largest k with no pool there) and on
+     # the pool branch (k = 343)
+     (5, 5, 60, 20), (127, 5, 60, 40), (128, 5, 60, 40), (127, 21, 60, 40), (128, 21, 60, 40),
+     (12, 3, 200, 0), (12, 3, 200, 1), (coupling._BIT_TABLE_MAX_N + 1, 341, 6, 100),
+     (coupling._BIT_TABLE_MAX_N + 1, 343, 6, 100)],
 )
 def test_simulation_matches_coupled_state_oracle(n, k, trials, max_steps):
     spec = WalkSpec(n, k)
@@ -533,6 +542,18 @@ def test_simulation_matches_coupled_state_oracle(n, k, trials, max_steps):
         assert simulate_coupling(spec, trials, max_steps, seed) == _oracle_simulation(
             spec, trials, max_steps, seed
         )
+
+
+def test_simulation_lists_no_bits_above_the_table_cutoff():
+    # a list of 1 << j for j < 20000 would hold 28 MB; one trial's masks
+    # hold a few kB
+    tracemalloc.start()
+    try:
+        simulate_coupling(WalkSpec(20000, 3), 2, 5, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_half_flip_pick_bounds_small_case():

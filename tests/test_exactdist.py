@@ -41,10 +41,10 @@ from cubemix.numerics import _float_profile, binom_row, hypergeom_numerators
 HALF = Fraction(1, 2)
 
 
-def test_weight_distribution_constructors():
+def test_weight_distribution_constructors(binomial_start):
     d = WeightDistribution.delta(3)
     assert d.probs == (1, 0, 0, 0)
-    b = WeightDistribution.binomial(4)
+    b = binomial_start(4)
     assert b.probs == (
         Fraction(1, 16),
         Fraction(4, 16),
@@ -149,10 +149,10 @@ def test_tv_and_l2_frozen_tiny_case():
     assert l2_to_uniform(fd1) == pytest.approx(0.5, rel=1e-13)
 
 
-def test_to_float_beyond_float_denominators():
+def test_to_float_beyond_float_denominators(binomial_start):
     # den = 2^1100, and den = 19760^200 after 200 exact steps: both beyond
     # float range, while every probability is not.
-    b = WeightDistribution.binomial(1100).to_float()
+    b = binomial_start(1100).to_float()
     assert b.prob(550) == pytest.approx(math.comb(1100, 550) / 2**1100, rel=1e-15)
     assert l2_to_uniform(b) < 1e-9
     d = evolve(WeightDistribution.delta(60), flip_weight_kernel(WalkSpec(60, 3)), 200)
@@ -603,14 +603,14 @@ def _fraction_zmn_tv(prof, m):
     return total / 2
 
 
-def test_l2_to_uniform_matches_fraction_oracle_off_point_starts():
+def test_l2_to_uniform_matches_fraction_oracle_off_point_starts(binomial_start):
     # the golden digests pin only point starts; the binomial start is
     # stationary, the random ones are not
     rng = random.Random(20261018)
     for n in range(1, 31):
         weights = [rng.randrange(20) for _ in range(n)] + [1]
         starts = [
-            WeightDistribution.binomial(n),
+            binomial_start(n),
             WeightDistribution(n, nums=weights, den=sum(weights)),
         ]
         spec = WalkSpec(n, rng.randint(1, n), rng.choice([0, Fraction(1, 3), HALF]))
@@ -698,7 +698,7 @@ def test_tv_sign_pass_settles_every_weight_exactly_with_an_infinite_band(monkeyp
         assert tv_to_uniform(dist, m) == _abs_sum_tv(dist, m), label
 
 
-def test_tv_sign_pass_exact_ties():
+def test_tv_sign_pass_exact_ties(binomial_start):
     # at n = 2, k = 1, p = 1/2, step 1, weight 1 has mass 1/2, exactly uniform
     d1 = evolve(WeightDistribution.delta(2), flip_weight_kernel(WalkSpec(2, 1)), 1)
     assert d1.nums[1] * 4 == 2 * d1.den
@@ -706,7 +706,7 @@ def test_tv_sign_pass_exact_ties():
     # the binomial start is stationary: every weight is a tie, far beyond
     # the float profile's range too
     for n, k in ((40, 7), (1100, 3)):
-        dist = evolve(WeightDistribution.binomial(n), flip_weight_kernel(WalkSpec(n, k)), 2)
+        dist = evolve(binomial_start(n), flip_weight_kernel(WalkSpec(n, k)), 2)
         assert tv_to_uniform(dist) == 0
 
 
