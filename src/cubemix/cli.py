@@ -9,8 +9,9 @@ Subcommands:
   verify     lemma certificates: probineq | general | eig34 | marginal | symmetry
 
 Exit codes: 0 success, 1 invalid arguments or domain error (for example a
-negative tv --steps or a zero-denominator --p), 2 a verifier found a
-counterexample (the certificate file is still written).
+negative tv --steps, a zero-denominator --p or an --n beyond float or
+index range) or an output path that cannot be written, 2 a verifier found
+a counterexample (the certificate file is still written).
 
 Output is written atomically to --output, or to
 $CUBEMIX_OUTPUT_DIR/<subcommand>.<format> when --output is omitted.  CSV
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import math
 import os
 import re
@@ -78,48 +78,45 @@ def _sanitize(obj):
     return obj
 
 
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cubemix-tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def _emit(args, default_stem: str, payload: dict, rows: list[dict] | None = None) -> None:
     """Write the payload as JSON, or as CSV with one line per row dict.
 
     The CSV header is the keys of the first row.  With rows=None the CSV
     flattens the payload to field,value lines (values JSON-encoded), which
-    is how certificates are written.
+    is how certificates are written.  The file is formatted straight into a
+    temp file that replaces the target whole; an unwritable path is a ValueError.
     """
     path = args.output or os.path.join(
         os.environ.get(OUTPUT_DIR_ENV, "."), f"{default_stem}.{args.format}"
     )
-    if args.format == "json":
-        import json
+    try:
+        directory = os.path.dirname(os.path.abspath(path))
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cubemix-tmp-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                if args.format == "json":
+                    import json
 
-        text = json.dumps(_sanitize(payload), indent=2) + "\n"
-    else:
-        if rows is None:
-            import json
+                    json.dump(_sanitize(payload), fh, indent=2)
+                    fh.write("\n")
+                else:
+                    if rows is None:
+                        import json
 
-            rows = [{"field": k, "value": json.dumps(_sanitize(v))} for k, v in payload.items()]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(rows[0])
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row.values()])
-        text = buf.getvalue()
-    _write_atomic(path, text)
+                        rows = [{"field": k, "value": json.dumps(_sanitize(v))} for k, v in payload.items()]
+                    writer = csv.writer(fh, lineterminator="\n")
+                    writer.writerow(rows[0])
+                    writer.writerows(map(_fmt, row.values()) for row in rows)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
     print(f"wrote {path}")
 
 
@@ -579,7 +576,9 @@ def main(argv=None) -> int:
         os.environ[_BLAS_THREADS] = "1"
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: an --n beyond float or index range, at the first
+        # float conversion or allocation it reaches
         print(f"cubemix: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -450,11 +450,18 @@ def test_invalid_arguments_exit_one(tmp_path, capsys):
         ["bounds", "--n", "6", "--m", "3", "--k", "2", "--c", "1e308"],
         ["bounds", "--n", "6", "--m", "3", "--k", "4", "--c", "1e308"],
         ["bounds", "--n", "6", "--k", "3", "--c", "1e308"],
+        # an --n beyond float or index range overflows at its first
+        # conversion or allocation
+        ["bounds", "--n", str(10**400), "--k", "3"],
+        ["bounds", "--n", str(10**400), "--m", "3"],
+        ["tv", "--n", str(10**30), "--k", "3", "--steps", "0"],
+        ["couple", "--n", str(10**21), "--k", "3", "--trials", "1", "--steps", "0"],
     ],
     ids=["tv-negative-steps", "tv-cyclic-negative-steps", "spectrum-p-zero-den", "tv-p-zero-den",
          "bounds-backend", "couple-backend", "verify-backend", "bounds-c-inf", "bounds-c-minus-inf",
          "bounds-c-nan", "bounds-eps-nan", "bounds-eps-inf", "bounds-c-1e308-m", "bounds-c-1e308-cyclic",
-         "bounds-c-1e308"],
+         "bounds-c-1e308", "bounds-n-beyond-float", "bounds-cyclic-n-beyond-float", "tv-n-beyond-index",
+         "couple-n-beyond-c-int"],
 )
 def test_rejected_inputs_exit_one_without_output(argv, tmp_path, capsys):
     out = tmp_path / "out"
@@ -463,6 +470,69 @@ def test_rejected_inputs_exit_one_without_output(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err.splitlines()[-1]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["output-is-a-directory", "output-under-a-file", "output-dir-env-is-a-file"])
+def test_unwritable_output_is_one_line(case, tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "blocker"
+    if case == "output-is-a-directory":
+        blocker.mkdir()
+        kept, path = blocker / "kept", blocker
+    else:
+        kept, path = blocker, blocker / "tv.csv"
+    kept.write_text("old\n")
+    argv = ["tv", "--n", "4", "--k", "1", "--steps", "1"]
+    if case == "output-dir-env-is-a-file":
+        monkeypatch.setenv("CUBEMIX_OUTPUT_DIR", str(blocker))
+    else:
+        argv += ["--output", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"cubemix: error: cannot write {path}: ")
+    assert kept.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == (
+        ["blocker", "kept"] if case == "output-is-a-directory" else ["blocker"]
+    )
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def test_a_csv_failing_partway_keeps_the_old_file(tmp_path, monkeypatch):
+    out = tmp_path / "tv.csv"
+    out.write_text("old\n")
+    real, calls = cli._fmt, []
+
+    def fmt(v):
+        # a few rows in, after the temp file has been written to
+        calls.append(v)
+        if len(calls) > 20:
+            raise _Interrupted
+        return real(v)
+
+    monkeypatch.setattr(cli, "_fmt", fmt)
+    with pytest.raises(_Interrupted):
+        main(["tv", "--n", "6", "--k", "3", "--steps", "20", "--output", str(out)])
+    assert out.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+
+def test_a_json_failing_partway_keeps_the_old_file(tmp_path, monkeypatch):
+    out = tmp_path / "tv.json"
+    out.write_text("old\n")
+    real = cli._sanitize
+
+    def sanitize(obj):
+        # the payload, and only it, ends in an object json cannot encode
+        clean = real(obj)
+        return {**clean, "last": object()} if isinstance(obj, dict) else clean
+
+    monkeypatch.setattr(cli, "_sanitize", sanitize)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        main(["tv", "--n", "6", "--k", "3", "--steps", "20", "--format", "json", "--output", str(out)])
+    assert out.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
 
 @pytest.mark.parametrize(
