@@ -33,6 +33,10 @@ from fractions import Fraction
 
 OUTPUT_DIR_ENV = "CUBEMIX_OUTPUT_DIR"
 _BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+# the largest --n each subcommand can take: tv and spectrum build lists of
+# n + 1 entries, and couple's getrandbits(n) takes a C int
+_INDEX_N = sys.maxsize - 1
+_C_INT_MAX = 2**31 - 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,8 +95,13 @@ def _emit(args, default_stem: str, payload: dict, rows: list[dict] | None = None
     )
     try:
         directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cubemix-tmp-")
+        try:
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cubemix-tmp-")
+        except FileNotFoundError:
+            # made only when missing: makedirs over a file would say
+            # "File exists" where mkstemp says "Not a directory"
+            os.makedirs(directory, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cubemix-tmp-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 if args.format == "json":
@@ -124,13 +133,15 @@ def _emit(args, default_stem: str, payload: dict, rows: list[dict] | None = None
 # subcommands
 
 
-def _walk(args):
+def _walk(args, n_max: int = _INDEX_N):
     """(spec, header, exact) of the walk the flags name: the cyclic walk with
-    --m, else the cube, and whether --backend runs it on rationals."""
+    --m, else the cube, and whether --backend runs it on rationals.  --n
+    goes up to n_max, the most the subcommand can take."""
     from .numerics import use_exact
     from .spectrum import CyclicWalkSpec, WalkSpec
 
     n = _need(args, "n", *_POSITIVE)
+    _need(args, "n", *_at_most(n_max))
     k = _need(args, "k", *_in_range(n))
     if args.m is None:
         p = Fraction(1, 2) if args.p is None else _need(args, "p", *_HOLD_PROBABILITY)
@@ -229,6 +240,8 @@ def _cmd_bounds(args) -> int:
     )
 
     n = _need(args, "n", *_POSITIVE)
+    # every bound family computes in floats of n
+    _need(args, "n", lambda n: n <= sys.float_info.max, f"an integer <= {sys.float_info.max!r}")
     if args.k is not None:
         _need(args, "k", *_in_range(n))
     if args.m is not None:
@@ -331,12 +344,12 @@ def _cmd_bounds(args) -> int:
 def _cmd_couple(args) -> int:
     from .coupling import coupling_tail_curve, simulate_coupling
 
-    spec, walk, exact = _walk(args)
+    spec, walk, exact = _walk(args, _C_INT_MAX)
     _need(args, "k", lambda k: k % 2 == 1, "an odd integer")
     _need(args, "trials", *_POSITIVE)
     _need(args, "steps", lambda l: l >= 0, "an integer >= 0")
     # the simulator counts the trials ending at each step in one list of steps + 2
-    _need(args, "steps", lambda l: l <= sys.maxsize - 2, f"an integer <= {sys.maxsize - 2}")
+    _need(args, "steps", *_at_most(sys.maxsize - 2))
     report = simulate_coupling(spec, trials=args.trials, max_steps=args.steps, seed=args.seed)
     # exact_tail is the absorbing chain's, in the arithmetic use_exact picks
     rows = [
@@ -383,6 +396,11 @@ _EVEN = (lambda n: n >= 2 and n % 2 == 0, "an even integer >= 2")
 def _in_range(top: int):
     """The check that a flag's integer lies in 1..top."""
     return lambda v: 1 <= v <= top, f"an integer in 1..{top}"
+
+
+def _at_most(top: int):
+    """The check that a flag's integer is at most top."""
+    return lambda v: v <= top, f"an integer <= {top}"
 
 
 def _probineq_certificate(args):
@@ -577,8 +595,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OverflowError) as exc:
-        # OverflowError: an --n beyond float or index range, at the first
-        # float conversion or allocation it reaches
+        # OverflowError: a value beyond float or index range that no flag
+        # check bounds, at the first float conversion or allocation it reaches
         print(f"cubemix: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

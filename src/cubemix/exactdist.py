@@ -486,17 +486,20 @@ def _subset_flip_sum(nums: list[int], n: int, k: int) -> list[int]:
     Processes coordinates one at a time: after m coordinates, u[j][x] is the
     sum of nums[x xor s] over the C(m,j) subsets s of the first m
     coordinates with |s| = j.  Identical to the naive subset sum, just
-    regrouped; the naive version cross-checks this in the tests.
+    regrouped; the naive version cross-checks this in the tests.  The
+    entries are Python ints in numpy object arrays, so the sums stay exact:
+    prev[x ^ bit] over all x is prev with the two halves of each 2·bit
+    block swapped, the middle axis of a (-1, 2, bit) view reversed.
     """
+    import numpy as np
+
     N = 1 << n
-    u = [nums] + [[0] * N for _ in range(k)]
+    u = [np.array(nums, dtype=object)] + [np.zeros(N, dtype=object) for _ in range(k)]
     for m in range(n):
         bit = 1 << m
         for j in range(min(k, m + 1), 0, -1):
-            prev = u[j - 1]
-            cur = u[j]
-            u[j] = [c + prev[x ^ bit] for x, c in enumerate(cur)]
-    return u[k]
+            u[j] = u[j] + u[j - 1].reshape(-1, 2, bit)[:, ::-1, :].reshape(-1)
+    return u[k].tolist()
 
 
 FULL_MATRIX_MAX_N = 12

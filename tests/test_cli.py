@@ -1,5 +1,6 @@
 """End-to-end command tests: formats, exit codes, reproducibility."""
 
+import errno
 import json
 import math
 import os
@@ -450,26 +451,29 @@ def test_invalid_arguments_exit_one(tmp_path, capsys):
         ["bounds", "--n", "6", "--m", "3", "--k", "2", "--c", "1e308"],
         ["bounds", "--n", "6", "--m", "3", "--k", "4", "--c", "1e308"],
         ["bounds", "--n", "6", "--k", "3", "--c", "1e308"],
-        # an --n beyond float or index range overflows at its first
-        # conversion or allocation
+        # an --n beyond what the subcommand can take (float range for
+        # bounds, index range for tv and spectrum, a C int for couple)
         ["bounds", "--n", str(10**400), "--k", "3"],
         ["bounds", "--n", str(10**400), "--m", "3"],
         ["tv", "--n", str(10**30), "--k", "3", "--steps", "0"],
         ["couple", "--n", str(10**21), "--k", "3", "--trials", "1", "--steps", "0"],
+        ["spectrum", "--n", str(10**30), "--k", "3"],
     ],
     ids=["tv-negative-steps", "tv-cyclic-negative-steps", "spectrum-p-zero-den", "tv-p-zero-den",
          "bounds-backend", "couple-backend", "verify-backend", "bounds-c-inf", "bounds-c-minus-inf",
          "bounds-c-nan", "bounds-eps-nan", "bounds-eps-inf", "bounds-c-1e308-m", "bounds-c-1e308-cyclic",
          "bounds-c-1e308", "bounds-n-beyond-float", "bounds-cyclic-n-beyond-float", "tv-n-beyond-index",
-         "couple-n-beyond-c-int"],
+         "couple-n-beyond-c-int", "spectrum-n-beyond-index"],
 )
-def test_rejected_inputs_exit_one_without_output(argv, tmp_path, capsys):
+def test_rejected_inputs_exit_one_without_output(argv, tmp_path, capsys, request):
     out = tmp_path / "out"
     assert main(argv + ["--output", str(out)]) == 1
     assert not out.exists()
     err = capsys.readouterr().err
     assert "error:" in err.splitlines()[-1]
     assert "Traceback" not in err
+    if "-beyond-" in request.node.callspec.id:
+        assert err.splitlines()[-1].startswith("cubemix: error: --n expects")
 
 
 @pytest.mark.parametrize("case", ["output-is-a-directory", "output-under-a-file", "output-dir-env-is-a-file"])
@@ -489,6 +493,8 @@ def test_unwritable_output_is_one_line(case, tmp_path, capsys, monkeypatch):
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"cubemix: error: cannot write {path}: ")
+    if case == "output-under-a-file":
+        assert err[0] == f"cubemix: error: cannot write {path}: {os.strerror(errno.ENOTDIR)}"
     assert kept.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.rglob("*")) == (
         ["blocker", "kept"] if case == "output-is-a-directory" else ["blocker"]
