@@ -594,9 +594,10 @@ def main(argv=None) -> int:
         os.environ[_BLAS_THREADS] = "1"
     try:
         return args.func(args)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, ChildProcessError) as exc:
         # OverflowError: a value beyond float or index range that no flag
-        # check bounds, at the first float conversion or allocation it reaches
+        # check bounds, at the first float conversion or allocation it
+        # reaches; ChildProcessError: a failed couple worker process
         print(f"cubemix: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -3,8 +3,10 @@
     python tests/bounded_run.py --timeout S [--exit N] [--sha256 HEX PATH]
                                 [--max-rss-mb M] -- CMD...
 
-Spawns CMD with the current environment and polls os.wait4 until it ends.
-After S seconds it kills CMD and fails.  Otherwise it prints
+Spawns CMD in a process group of its own, with the current environment,
+and polls os.wait4 until it ends.  After S seconds it kills the whole group
+(CMD and any process it started, such as couple's workers) and fails.
+Otherwise it prints
 
     CMD: X.X s, peak RSS Y MB
 
@@ -44,18 +46,24 @@ def main(argv: list[str] | None = None) -> int:
 
     start = time.monotonic()
     try:
-        pid = os.posix_spawnp(args.cmd[0], args.cmd, os.environ)
+        pid = os.posix_spawnp(args.cmd[0], args.cmd, os.environ, setpgroup=0)
     except OSError as exc:
         sys.exit(f"{shown}: cannot run: {exc.strerror}")
-    while True:
-        done, status, usage = os.wait4(pid, os.WNOHANG)
-        if done:
-            break
-        if time.monotonic() - start > args.timeout:
-            os.kill(pid, signal.SIGKILL)
+    done = 0
+    try:
+        while True:
+            done, status, usage = os.wait4(pid, os.WNOHANG)
+            if done or time.monotonic() - start > args.timeout:
+                break
+            time.sleep(0.05)
+    finally:
+        # at the timeout, or on Ctrl-C, which no longer reaches CMD's group;
+        # the group's id is CMD's pid
+        if not done:
+            os.killpg(pid, signal.SIGKILL)
             os.wait4(pid, 0)
-            sys.exit(f"{shown}: did not finish in {args.timeout:g} s")
-        time.sleep(0.05)
+    if not done:
+        sys.exit(f"{shown}: did not finish in {args.timeout:g} s")
     mb = usage.ru_maxrss / 1024  # KiB on Linux
     print(f"{shown}: {time.monotonic() - start:.1f} s, peak RSS {mb:.0f} MB", flush=True)
 

@@ -83,3 +83,32 @@ def test_a_child_past_the_timeout_is_killed(tmp_path):
     assert code == 1 and stdout == []
     assert len(stderr) == 1 and stderr[0].endswith(": did not finish in 1 s")
     assert elapsed < 4
+
+
+def test_a_timed_out_child_takes_its_own_children_with_it(tmp_path):
+    pidfile = tmp_path / "pid"
+    # the child and its forked grandchild both sleep; the child names it,
+    # and the grandchild lets go of the checker's output pipes, which the
+    # test would otherwise wait on
+    cmd = (
+        "import os, time; pid = os.fork(); "
+        f"pid and open({str(pidfile)!r}, 'w').write(str(pid)); "
+        "pid or [os.dup2(os.open(os.devnull, os.O_WRONLY), fd) for fd in (1, 2)]; time.sleep(5)"
+    )
+    start = time.monotonic()
+    code, stdout, stderr = _check("--timeout", 1, cmd=cmd)
+    elapsed = time.monotonic() - start
+    pid = int(pidfile.read_text())
+    try:
+        # the grandchild went with the checker's kill: gone, or a zombie
+        # that its new parent has not reaped yet
+        stat = Path(f"/proc/{pid}/stat")
+        assert not stat.exists() or stat.read_text().rpartition(")")[2].split()[0] == "Z"
+    finally:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    assert code == 1 and stdout == []
+    assert len(stderr) == 1 and stderr[0].endswith(": did not finish in 1 s")
+    assert elapsed < 4
