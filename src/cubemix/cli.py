@@ -10,8 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 invalid arguments or domain error (for example a
 negative tv --steps, a zero-denominator --p or an --n beyond float or
-index range) or an output path that cannot be written, 2 a verifier found
-a counterexample (the certificate file is still written).
+index range), an output path that cannot be written or a closed stdout,
+2 a verifier found a counterexample (the certificate file is still written).
 
 Output is written atomically to --output, or to
 $CUBEMIX_OUTPUT_DIR/<subcommand>.<format> when --output is omitted.  CSV
@@ -23,6 +23,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
 import math
 import os
@@ -611,5 +612,50 @@ def main(argv=None) -> int:
             os.environ.pop(_BLAS_THREADS, None)
 
 
+def run():
+    """The process entry point, `cubemix` and `python -m cubemix.cli`; never returns.
+
+    Runs main(), then the registered atexit callbacks, flushes stdout and
+    stderr and ends the process with os._exit, skipping the interpreter's
+    teardown (freeing every module and object, numpy's included), which
+    writes nothing.  A closed stdout exits 1 with one line on stderr; the
+    output file is already in place.  Exits the normal way, through
+    SystemExit, under a tracer, profiler or debugger (which may still write
+    after the module returns), while another thread is alive (the teardown
+    joins it), or when a flush fails.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the Python docs' recipe for a closed stdout: whatever is still
+        # buffered goes to devnull, so no later flush fails again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"cubemix: error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
+        code = 1
+    if _watched():
+        raise SystemExit(code)
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        raise SystemExit(code) from None
+    os._exit(code)
+
+
+def _watched() -> bool:
+    """Whether a tracer, profiler or debugger is attached, or a thread other
+    than this one is alive."""
+    if sys.gettrace() or sys.getprofile():
+        return True
+    # from Python 3.12, cProfile registers here instead of with setprofile
+    monitoring = getattr(sys, "monitoring", None)
+    if monitoring and any(monitoring.get_tool(tool) for tool in range(6)):
+        return True
+    threading = sys.modules.get("threading")
+    return threading is not None and threading.active_count() > 1
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

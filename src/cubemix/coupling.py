@@ -428,6 +428,10 @@ def simulate_coupling(spec: WalkSpec, trials: int, max_steps: int, seed: int) ->
     # Allocated before any fork, so a tally too large fails with no worker.
     ends = [0] * (max_steps + 2)
     workers = _worker_count(trials, max_steps)
+    # _tally_ends seeds each trial through hashlib: loaded before the fork,
+    # the workers inherit OpenSSL's _hashlib instead of each loading it
+    # (about 3.5 ms of CPU a process)
+    import hashlib  # noqa: F401
     chunks = [range(trials * i // workers, trials * (i + 1) // workers) for i in range(workers)]
     for tally in _split_tally(partial(_tally_ends, n, k, seed, max_steps), chunks):
         for t, count in tally.items():

@@ -719,6 +719,12 @@ _TASKS = "/proc/self/task"
 _HEAVY = ("numpy", "dataclasses", "inspect")
 
 
+def _src_env():
+    """os.environ with this checkout's src first on PYTHONPATH, for a child interpreter."""
+    src = str(Path(cubemix.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def _fresh_run(argv, output, blas_threads=None):
     """(which of _HEAVY are loaded, the cubemix submodules loaded, thread
     count) after one CLI run in a fresh interpreter; the count is -1 without
@@ -733,8 +739,7 @@ def _fresh_run(argv, output, blas_threads=None):
         f"heavy = ','.join(m for m in {_HEAVY!r} if m in sys.modules) or '-'\n"
         "print(code, heavy, threads, *(m for m in sys.modules if m.startswith('cubemix.')))\n"
     )
-    src = str(Path(cubemix.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _src_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
@@ -806,8 +811,7 @@ def test_importing_the_cli_loads_no_submodule_and_leaves_the_environment():
         "import cubemix.cli\n"
         "print(dict(os.environ) == before, *(m for m in sys.modules if m.startswith('cubemix.')))\n"
     )
-    src = str(Path(cubemix.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _src_env()
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.split() == ["True", "cubemix.cli"]
 
@@ -846,3 +850,92 @@ def test_float_formatting_is_17_significant_digits(tmp_path):
 
     tv = float(tv_to_uniform(spectral_dist(WS(6, 3), 3)))
     assert float(row[1]) == tv
+
+
+# ---------------------------------------------------------------------------
+# the process runner: python -m cubemix.cli and the console script end in cli.run
+
+
+def _python(*args, env=None, stdout=subprocess.PIPE):
+    """A fresh interpreter run with args and this checkout's src, its text stderr
+    (and stdout, unless redirected) captured."""
+    return subprocess.run(
+        [sys.executable, *args], env=env or _src_env(), stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120
+    )
+
+
+_PIPED = {
+    "tv": (["tv", "--n", "12", "--k", "3", "--steps", "5"], 0, []),
+    "couple": (["couple", "--n", "8", "--k", "3", "--trials", "50", "--steps", "10", "--format", "json"], 0, []),
+    "verify-ok": (["verify", "--lemma", "eig34", "--n", "6"], 0, ["verify eig34: ok"]),
+    "verify-counterexample": (["verify", "--lemma", "probineq", "--n", "6"], 2, ["verify probineq: counterexamples found"]),
+}
+
+
+@pytest.mark.parametrize("name", _PIPED)
+def test_a_process_through_a_pipe_prints_its_lines_and_writes_mains_bytes(name, tmp_path):
+    argv, code, lines = _PIPED[name]
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    proc = _python("-m", "cubemix.cli", *argv, "--output", str(out))
+    assert (proc.returncode, proc.stdout.splitlines(), proc.stderr) == (code, [f"wrote {out}", *lines], "")
+    assert main(argv + ["--output", str(ref)]) == code
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_a_process_with_a_domain_error_exits_one_through_a_pipe(tmp_path):
+    proc = _python("-m", "cubemix.cli", "tv", "--n", "-1", "--k", "3", "--steps", "3", "--output", str(tmp_path / "tv.csv"))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == ["cubemix: error: --n expects an integer >= 1, got -1"]
+    assert not (tmp_path / "tv.csv").exists()
+
+
+# __main__ of a child that runs the CLI as python -m does, with an atexit
+# callback and a global whose finalizer would print during the teardown
+_EXIT_PROBE = """
+import atexit, runpy, sys
+
+class Sentinel:
+    def __del__(self):
+        print("teardown ran")
+
+sentinel = Sentinel()
+atexit.register(print, "atexit ran")
+sys.argv = ["cubemix", *sys.argv[1:]]
+runpy.run_module("cubemix.cli", run_name="__main__")
+"""
+
+
+def test_a_process_runs_atexit_callbacks_and_skips_the_teardown(tmp_path):
+    out = tmp_path / "eig.json"
+    proc = _python("-c", _EXIT_PROBE, "verify", "--lemma", "eig34", "--n", "6", "--output", str(out))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [f"wrote {out}", "verify eig34: ok", "atexit ran"]
+
+
+def test_a_profiled_process_exits_normally_and_prints_the_profile(tmp_path):
+    out = tmp_path / "eig.json"
+    proc = _python("-m", "cProfile", "-m", "cubemix.cli", "verify", "--lemma", "eig34", "--n", "6", "--output", str(out))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[:2] == [f"wrote {out}", "verify eig34: ok"]
+    assert "function calls" in proc.stdout and "Ordered by" in proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_exits_one_with_one_line(unbuffered, tmp_path):
+    # the read end is closed before the child starts, so its first write to
+    # stdout fails: at the print with PYTHONUNBUFFERED, at the flush without
+    read, write = os.pipe()
+    os.close(read)
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv, out = ["tv", "--n", "12", "--k", "3", "--steps", "3"], tmp_path / "tv.csv"
+    try:
+        proc = _python("-m", "cubemix.cli", *argv, "--output", str(out), env=env, stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["cubemix: error: cannot write to stdout: Broken pipe"]
+    assert main(argv + ["--output", str(tmp_path / "ref.csv")]) == 0
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
