@@ -28,8 +28,6 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .spectrum import WalkSpec, cube_eigen_numerators
-
 SQRT2 = math.sqrt(2.0)
 
 
@@ -169,18 +167,19 @@ def exact_weight_statistic_moments(n: int, k: int, l: int) -> tuple[Fraction, Fr
 def _moment_numerators(n: int, k: int, l: int) -> tuple[int, int, int]:
     """(mean^2, variance) as integer numerators over one denominator D: (a, b, D).
 
-    The float callers divide a / D and b / D directly: int / int is
-    correctly rounded, so they get float() of the exact moments without the
-    gcd that reducing two huge Fractions costs at large l.
+    Levels 1 and 2 of the half-lazy walk have eigenvalues (1 + f_j(k)) / 2,
+    f_j from weight_eigenfunction: 1 - k/n and 1 - 2k(n-k)/(n(n-1)).  With
+    each in lowest terms a_j / b_j, D = b_1^(2l) b_2^l.  The float callers
+    divide a / D and b / D directly: int / int is correctly rounded, so they
+    get float() of the exact moments without the gcd that reducing two huge
+    Fractions costs at large l.
     """
     if n < 2 or not (1 <= k <= n) or l < 0:
         raise ValueError(f"moment domain error: n={n}, k={k}, l={l}")
-    # levels 1 and 2 of the half-lazy walk: eigenvalues 1 - k/n and 1 - 2k(n-k)/(n(n-1))
-    nums, den = cube_eigen_numerators(WalkSpec(n, k))
-    den_l = den**l
-    den_2l = den_l * den_l
-    mean_sq = n * nums[1] ** (2 * l)
-    return mean_sq, den_2l + (n - 1) * nums[2] ** l * den_l - mean_sq, den_2l
+    (a1, b1), (a2, b2) = (((1 + weight_eigenfunction(n, j, k)) / 2).as_integer_ratio() for j in (1, 2))
+    den = (b1 * b1 * b2) ** l
+    mean_sq = n * (a1 * a1 * b2) ** l
+    return mean_sq, den + (n - 1) * (a2 * b1 * b1) ** l - mean_sq, den
 
 
 def weight_eigenfunction(n: int, j: int, x: int) -> Fraction:

@@ -94,6 +94,11 @@ def _emit(args, default_stem: str, payload: dict, rows: list[dict] | None = None
     path = args.output or os.path.join(
         os.environ.get(OUTPUT_DIR_ENV, "."), f"{default_stem}.{args.format}"
     )
+    if os.path.isdir(path):
+        # refused before mkstemp: the rename onto a directory fails anyway
+        # (EBUSY for ".", ENOTDIR for "d/"), and for "." the temp file
+        # would be made in the parent
+        raise ValueError(f"cannot write {path}: Is a directory")
     try:
         directory = os.path.dirname(os.path.abspath(path))
         try:

@@ -56,7 +56,7 @@ from contextlib import suppress
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, chain, combinations, islice
-from operator import add, sub
+from operator import add, attrgetter, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from .numerics import LN2_LO, binom_row, cmp_ratio_with_ln2, hypergeom_numerators, use_exact
@@ -731,27 +731,20 @@ def verify_half_flip_pick_bounds(n: int) -> HalfPickCertificate:
     den = 2 * math.comb(n, h)
     quarter = Fraction(1, 4)
     rows = []
-    viol = []
-    min1 = min2 = min2e = None
     for y in range(n + 1):
         if y >= h:
-            p1 = Fraction(ups[y], den)
-            row = HalfPickRow(1, y, p1, p1 >= quarter)
-            rows.append(row)
-            if not row.ok:
-                viol.append(row)
-            if min1 is None or p1 < min1[0]:
-                min1 = (p1, y)
+            rows.append(HalfPickRow(1, y, p := Fraction(ups[y], den), p >= quarter))
         if 1 <= y <= h:
-            p2 = Fraction(sums[y], den)
-            row = HalfPickRow(2, y, p2, p2 >= quarter)
-            rows.append(row)
-            if not row.ok:
-                viol.append(row)
-            if min2 is None or p2 < min2[0]:
-                min2 = (p2, y)
-            if y % 2 == 0 and (min2e is None or p2 < min2e[0]):
-                min2e = (p2, y)
+            rows.append(HalfPickRow(2, y, p := Fraction(sums[y], den), p >= quarter))
+
+    def lowest(part, even=False):
+        # (prob, y) of the part's first minimum, over its even y only if asked
+        cells = (r for r in rows if r.part == part and not (even and r.y % 2))
+        low = min(cells, key=attrgetter("prob"), default=None)
+        return None if low is None else (low.prob, low.y)
+
+    min2e = lowest(2, even=True)
+    viol = tuple(r for r in rows if not r.ok)
     notes = []
     if viol and all(r.y % 2 == 1 for r in viol):
         notes.append(
@@ -762,10 +755,10 @@ def verify_half_flip_pick_bounds(n: int) -> HalfPickCertificate:
     return HalfPickCertificate(
         n=n,
         rows=tuple(rows),
-        min_part1=min1,
-        min_part2=min2,
+        min_part1=lowest(1),
+        min_part2=lowest(2),
         min_part2_even=min2e,
-        violations=tuple(viol),
+        violations=viol,
         notes=tuple(notes),
     )
 

@@ -1,7 +1,11 @@
 """Step-count bounds and moment formulas, cross-checked at high precision."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -30,6 +34,8 @@ from cubemix import (
     weight_statistic_moments,
     zmn_exact_tv,
 )
+import cubemix
+from cubemix.spectrum import cube_eigen_numerators
 
 COMPUTED_TABLE = {
     (54, 3): 665,
@@ -217,6 +223,24 @@ def test_weight_eigenfunctions_and_identity():
             assert f1 * f1 == Fraction(1, n) * f0 + Fraction(n - 1, n) * f2
     with pytest.raises(ValueError):
         weight_eigenfunction(5, 3, 1)
+
+
+def test_moment_eigenvalues_are_the_krawtchouk_rows_levels():
+    # the moments read levels 1 and 2 as (1 + f_j(k)) / 2; the Krawtchouk
+    # row, which every spectrum and l2 curve reads, is the reference
+    for n in range(2, 61):
+        for k in range(1, n + 1):
+            nums, den = cube_eigen_numerators(WalkSpec(n, k))
+            for j in (1, 2):
+                assert (1 + weight_eigenfunction(n, j, k)) / 2 == Fraction(nums[j], den), (n, k, j)
+
+
+def test_importing_bounds_loads_no_other_submodule():
+    script = "import sys, cubemix.bounds\nprint(*sorted(m for m in sys.modules if m.startswith('cubemix.')))\n"
+    src = str(Path(cubemix.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["cubemix.bounds"]
 
 
 def test_weight_eigenfunctions_are_kernel_eigenvectors():

@@ -501,6 +501,17 @@ def test_unwritable_output_is_one_line(case, tmp_path, capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("path", [".", "d", "d/"])
+def test_output_naming_a_directory_is_refused_before_any_temp_file(path, tmp_path, capsys, monkeypatch):
+    work = tmp_path / "work"
+    (work / "d").mkdir(parents=True)
+    monkeypatch.chdir(work)
+    assert main(["tv", "--n", "4", "--k", "1", "--steps", "1", "--output", path]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"cubemix: error: cannot write {path}: Is a directory"]
+    # no .cubemix-tmp-* file in the named directory or its parent (tmp_path for ".")
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == ["work", "work/d"]
+
+
 class _Interrupted(Exception):
     pass
 
@@ -704,7 +715,7 @@ _NOT_LOADED = {
     "tv-cube": {"coupling", "bounds", "krawtchouk"},
     "tv-cyclic": {"coupling", "bounds", "krawtchouk"},
     "spectrum": {"exactdist", "coupling", "bounds", "krawtchouk"},
-    "bounds": {"coupling", "exactdist", "krawtchouk"},
+    "bounds": {"coupling", "exactdist", "krawtchouk", "spectrum", "numerics"},
     "verify-general": {"bounds", "exactdist", "spectrum", "krawtchouk"},
     "couple": {"bounds", "exactdist", "krawtchouk"},
     "verify-eig34": {"coupling", "bounds"},
