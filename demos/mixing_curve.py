@@ -9,38 +9,32 @@ number below is an exact rational.
 """
 
 from fractions import Fraction
+from itertools import islice
 
 from cubemix import (
     WalkSpec,
-    WeightDistribution,
-    evolve,
-    flip_weight_kernel,
+    distance_curve,
     half_flip_step_bound,
-    l2_upper_bound,
     spectral_dist,
     tv_to_uniform,
 )
 
 # Total variation distance, step by step, for a few flip sizes on n = 12.
+# distance_curve steps the walk once per row and reduces each step to its
+# distances from uniform, so the curves advance side by side.
 n = 12
 flip_sizes = (1, 3, 5)
 print(f"lazy k-flip walk on the {n}-cube, exact TV to uniform")
 print("step " + "  ".join(f"k={k:>2}" for k in flip_sizes))
-dists = {k: WeightDistribution.delta(n) for k in flip_sizes}
-kernels = {k: flip_weight_kernel(WalkSpec(n, k)) for k in flip_sizes}
-for l in range(16):
-    row = []
-    for k in flip_sizes:
-        if l:
-            dists[k] = evolve(dists[k], kernels[k], 1)
-        row.append(f"{float(tv_to_uniform(dists[k])):.3f}")
-    print(f"{l:>4} " + "  ".join(row))
+curves = zip(*(distance_curve(WalkSpec(n, k)) for k in flip_sizes))
+for l, rows in zip(range(16), curves):
+    print(f"{l:>4} " + "  ".join(f"{float(row['tv']):.3f}" for row in rows))
 
 # An even flip size has a blind spot: it preserves the parity of the
 # Hamming weight, so half the cube stays unreachable and TV never drops
 # below 1/2.  On n = 12 even the half flip k = 6 stalls there.
-dist6 = evolve(WeightDistribution.delta(n), flip_weight_kernel(WalkSpec(n, 6)), 30)
-print(f"\nk=6 on the 12-cube after 30 steps: TV = {float(tv_to_uniform(dist6)):.3f} (parity is invariant)")
+tv6 = next(islice(distance_curve(WalkSpec(n, 6)), 30, None))["tv"]
+print(f"\nk=6 on the 12-cube after 30 steps: TV = {float(tv6):.3f} (parity is invariant)")
 
 # Odd half flips have no such obstruction.  For k = n/2 with n = 2 mod 4
 # a fixed number of steps suffices for any n.  The schedule below comes
@@ -54,14 +48,10 @@ for nn in (6, 54):
         ok = 4 * tv * tv <= Fraction(eps).limit_denominator(100)
         print(f"  n={nn:>3} eps={eps:<5} l={steps:>3}  4*tv^2 = {float(4 * tv * tv):.2e}  within budget: {ok}")
 
-# The same character sum gives a computable envelope above the curve.
+# The curve's l2 column is the same character sum, a computable envelope
+# above the curve: from a point start it is the chi-square distance.
 print()
-spec = WalkSpec(12, 3)
-dist = WeightDistribution.delta(12)
-kern = flip_weight_kernel(spec)
 print("exact 4*tv^2 against its l2 envelope, n=12 k=3")
-for l in range(0, 13, 3):
-    if l:
-        dist = evolve(dist, kern, 3)
-    tv = tv_to_uniform(dist)
-    print(f"  l={l:>2}  4*tv^2 = {float(4 * tv * tv):.3e}  envelope = {float(l2_upper_bound(spec, l)):.3e}")
+for l, row in islice(enumerate(distance_curve(WalkSpec(12, 3))), 0, 13, 3):
+    tv = row["tv"]
+    print(f"  l={l:>2}  4*tv^2 = {float(4 * tv * tv):.3e}  envelope = {float(row['l2_sq']):.3e}")

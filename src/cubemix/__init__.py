@@ -54,6 +54,7 @@ _EXPORTS = {
         "WeightKernel",
         "brute_force_curve",
         "brute_force_dist",
+        "distance_curve",
         "evolve",
         "flip_weight_kernel",
         "full_transition_matrix",

@@ -31,6 +31,7 @@ import re
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import chain, starmap
 
 OUTPUT_DIR_ENV = "CUBEMIX_OUTPUT_DIR"
 _BLAS_THREADS = "OPENBLAS_NUM_THREADS"
@@ -83,13 +84,23 @@ def _sanitize(obj):
     return obj
 
 
-def _emit(args, default_stem: str, payload: dict, rows: list[dict] | None = None) -> None:
+def _curve_rows(args, curve, row):
+    """row(l, value) for l = 0..--steps and the curve's values, drawing none
+    past --steps: a list for JSON, which holds the payload whole, or a lazy
+    iterator for CSV, which computes each row as it writes it."""
+    rows = starmap(row, zip(range(args.steps + 1), curve))
+    return list(rows) if args.format == "json" else rows
+
+
+def _emit(args, default_stem: str, payload: dict, rows=None) -> None:
     """Write the payload as JSON, or as CSV with one line per row dict.
 
-    The CSV header is the keys of the first row.  With rows=None the CSV
-    flattens the payload to field,value lines (values JSON-encoded), which
-    is how certificates are written.  The file is formatted straight into a
-    temp file that replaces the target whole; an unwritable path is a ValueError.
+    rows is any iterable of dicts, drawn as its lines are written; the CSV
+    header is the keys of the first row.  With rows=None the CSV flattens
+    the payload to field,value lines (values JSON-encoded), which is how
+    certificates are written.  The file is formatted straight into a temp
+    file that replaces the target whole, or is removed on any error, a
+    row's too; an unwritable path is a ValueError.
     """
     path = args.output or os.path.join(
         os.environ.get(OUTPUT_DIR_ENV, "."), f"{default_stem}.{args.format}"
@@ -120,9 +131,11 @@ def _emit(args, default_stem: str, payload: dict, rows: list[dict] | None = None
                         import json
 
                         rows = [{"field": k, "value": json.dumps(_sanitize(v))} for k, v in payload.items()]
+                    rows = iter(rows)
+                    first = next(rows)
                     writer = csv.writer(fh, lineterminator="\n")
-                    writer.writerow(rows[0])
-                    writer.writerows(map(_fmt, row.values()) for row in rows)
+                    writer.writerow(first)
+                    writer.writerows(map(_fmt, row.values()) for row in chain([first], rows))
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -185,51 +198,21 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_tv(args) -> int:
-    from .exactdist import (
-        WeightDistribution,
-        evolve,
-        flip_weight_kernel,
-        separation_tail,
-        support_weight_kernel,
-        touched_weight_kernel,
-        tv_to_uniform,
-    )
-    from .spectrum import _l2_curve
+    from .exactdist import distance_curve
 
     if args.steps < 0:
         raise ValueError(f"tv requires --steps >= 0, got --steps={args.steps}")
-    # each walk supplies its kernels, each stepping one point start once per
-    # l, and its row columns; the l2 column is read from eigenvalue powers
     spec, walk, exact = _walk(args)
-    if args.m is not None:
-        # TV reads the support-size chain, separation the touched-count one
-        kernels = (support_weight_kernel(spec), touched_weight_kernel(spec))
-        exact_columns = ("tv", "separation_tail")
+    # every cube column has an exact twin; the cyclic l2 column is a bound
+    twins = ("tv", "l2_sq") if args.m is None else ("tv", "separation_tail")
 
-        def columns(support, touched):
-            tv = tv_to_uniform(support, args.m)
-            return {"tv": tv, "separation_tail": separation_tail(touched), "l2_sq_bound": next(l2s)}
+    def row(l, distances):
+        if not exact:
+            return {"l": l, **distances}
+        # the float columns first, then the exact values they round
+        return {"l": l, **{c: _float(v) for c, v in distances.items()}, **{f"{c}_exact": distances[c] for c in twins}}
 
-    else:
-        kernels = (flip_weight_kernel(spec),)
-        exact_columns = ("tv", "l2_sq")
-
-        def columns(dist):
-            return {"tv": tv_to_uniform(dist), "l2_sq": next(l2s)}
-
-    l2s = _l2_curve(spec, exact)
-    start = WeightDistribution.delta(args.n)
-    dists = [start if exact else start.to_float()] * len(kernels)
-    rows = []
-    for l in range(args.steps + 1):
-        if l:
-            dists = [evolve(dist, kernel, 1) for dist, kernel in zip(dists, kernels)]
-        row = columns(*dists)
-        if exact:
-            # the float columns first, then the exact values they round
-            exact_row = {f"{c}_exact": row[c] for c in exact_columns}
-            row = {**{c: _float(v) for c, v in row.items()}, **exact_row}
-        rows.append({"l": l, **row})
+    rows = _curve_rows(args, distance_curve(spec, exact), row)
     payload = {"walk": walk, "backend": "exact" if exact else "float", "rows": rows}
     _emit(args, "tv", payload, rows)
     return 0
@@ -348,7 +331,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_couple(args) -> int:
-    from .coupling import coupling_tail_curve, simulate_coupling
+    from .coupling import _tail_curve, simulate_coupling
 
     spec, walk, exact = _walk(args, _C_INT_MAX)
     _need(args, "k", lambda k: k % 2 == 1, "an odd integer")
@@ -358,16 +341,16 @@ def _cmd_couple(args) -> int:
     _need(args, "steps", *_at_most(sys.maxsize - 2))
     report = simulate_coupling(spec, trials=args.trials, max_steps=args.steps, seed=args.seed)
     # exact_tail is the absorbing chain's, in the arithmetic use_exact picks
-    rows = [
-        {
+    def row(l, tail):
+        return {
             "l": l,
             "mc_survivors": report.survivors[l],
             "mc_tail": report.tail(l),
             "exact_tail": float(tail),
             **({"exact_tail_exact": tail} if exact else {}),
         }
-        for l, tail in enumerate(coupling_tail_curve(spec, args.steps))
-    ]
+
+    rows = _curve_rows(args, _tail_curve(spec), row)
     payload = {
         "walk": walk,
         "trials": args.trials,

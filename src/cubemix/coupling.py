@@ -307,37 +307,41 @@ def coupling_weight_kernel(spec: WalkSpec) -> WeightKernel:
 
 
 def coupling_tail_curve(spec: WalkSpec, lmax: int) -> list[Fraction] | list[float]:
-    """[P(T > l) for l = 0..lmax], x2 started uniform (y0 binomial).
+    """[P(T > l) for l = 0..lmax], x2 started uniform (y0 binomial): _tail_curve's first lmax + 1 values."""
+    if lmax < 0:
+        raise ValueError(f"coupling_tail_curve requires lmax >= 0, got {lmax}")
+    _require_coupling_spec(spec, "coupling_tail_curve")
+    return list(islice(_tail_curve(spec), lmax + 1))
+
+
+def _tail_curve(spec: WalkSpec):
+    """Yield P(T > l) for l = 0, 1, ..., stepping once per value asked for.
 
     Fractions up to EXACT_BACKEND_MAX_N coordinates, from the even states
     over 2^n (2C)^l, C^l C(n, t) flowing in at step l; floats above it, from
     the full kernel, summing the surviving mass vec[1:], not 1 - vec[0], so
     a small tail keeps its relative accuracy, clamped at 1 as float TV is.
     """
-    if lmax < 0:
-        raise ValueError(f"coupling_tail_curve requires lmax >= 0, got {lmax}")
-    _require_coupling_spec(spec, "coupling_tail_curve")
     n, k = spec.n, spec.k
     if not use_exact(n):
         from .exactdist import WeightDistribution, evolve
 
         kernel = coupling_weight_kernel(spec)
-        start = WeightDistribution.from_floats(_float_profile(n, 2)[0])
-        dists = accumulate(range(lmax), lambda dist, _: evolve(dist, kernel, 1), initial=start)
-        return [min(float(dist.vec[1:].sum()), 1.0) for dist in dists]
+        dist = WeightDistribution.from_floats(_float_profile(n, 2)[0])
+        while True:
+            yield min(float(dist.vec[1:].sum()), 1.0)
+            dist = evolve(dist, kernel, 1)
     C, rows, inflow = math.comb(n, k), _even_rows(n, k), binom_row(n)[::2]
     # nums[j] / den is the mass at y = 2j after l steps; nums[0] has met
     nums, den, scale = list(inflow), 1 << n, 1
-    out = [Fraction(den - nums[0], den)]
-    for _ in range(lmax):
+    while True:
+        yield Fraction(den - nums[0], den)
         scale, den = scale * C, den * 2 * C
         new = [hold * v + scale * b for (hold, _), v, b in zip(rows, nums, inflow)]
         for j, ((_, moves), v) in enumerate(zip(rows, nums)):
             for a, c in moves.items():
                 new[j - a] += c * v
         nums = new
-        out.append(Fraction(den - nums[0], den))
-    return out
 
 
 def expected_coupling_time(spec: WalkSpec, exact: bool | None = None):

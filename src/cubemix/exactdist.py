@@ -8,13 +8,13 @@ probability.  The (Z/mZ)^n walk lumps onto its support size the same way
 (support_weight_kernel); the cube is m = 2, where support size is weight.
 Both walks share one idiom: a kernel, a point start stepped by evolve(),
 and two reductions, tv_to_uniform(dist, m) and l2_to_uniform(dist, m),
-against the uniform profile C(n,s)(m-1)^s / m^n.  The same lumping
-carries the coupling analysis and the cyclic walk's touched-coordinate
-chain, which gives separation_tail.  Every lumped chain is a pick law:
-i of the k picks land in the current set (hypergeometric) and the size
-moves by an amount linear in i (flip k - 2i, touched k - i, support
-b - i); _pick_kernel builds all three, and the coupling kernel composes
-the lazy flip kernel's rows.
+against the uniform profile C(n,s)(m-1)^s / m^n; distance_curve runs it
+one step per row.  The same lumping carries the coupling analysis and the
+cyclic walk's touched-coordinate chain, which gives separation_tail.
+Every lumped chain is a pick law: i of the k picks land in the current set
+(hypergeometric) and the size moves by an amount linear in i (flip
+k - 2i, touched k - i, support b - i); _pick_kernel builds all three, and
+the coupling kernel composes the lazy flip kernel's rows.
 
 Every kernel is integer numerators over one denominator, and so is every
 exact distance: each reduction sums integers and builds a single
@@ -56,9 +56,9 @@ from itertools import chain, repeat
 from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple
 
-from .numerics import EXACT_BACKEND_MAX_N, binom_row, hypergeom_numerators, sum_exp
+from .numerics import EXACT_BACKEND_MAX_N, binom_row, hypergeom_numerators, sum_exp, use_exact
 from .numerics import _cofactors, _float_profile, _log_multiplicity_row
-from .spectrum import CyclicWalkSpec, WalkSpec, cube_eigen_numerators
+from .spectrum import CyclicWalkSpec, WalkSpec, _l2_curve, cube_eigen_numerators
 
 if TYPE_CHECKING:
     import numpy as np
@@ -606,3 +606,36 @@ def zmn_exact_tv(touched: WeightDistribution, m: int) -> Fraction:
         thinned[0] += nums[w] * m ** (n - w)
     support = [c * (m - 1) ** s for s, c in enumerate(thinned)]
     return tv_to_uniform(WeightDistribution(n, nums=support, den=touched.den * m**n), m)
+
+
+def distance_curve(spec: WalkSpec | CyclicWalkSpec, exact: bool | None = None):
+    """Yield {column: distance} for l = 0, 1, ... steps from the origin, without end.
+
+    Columns tv and l2_sq (the chi-square distance) for a WalkSpec; tv,
+    separation_tail and l2_sq_bound for a CyclicWalkSpec.  Fractions when
+    exact, floats otherwise; exact=None means use_exact(n).  Each kernel is
+    built once and each chain stepped by one evolve per row (the cyclic TV
+    reads the support-size chain, separation the touched-count one); l2 is
+    spectrum._l2_curve's.  A row is computed only when it is asked for.
+    """
+    if exact is None:
+        exact = use_exact(spec.n)
+    l2s = _l2_curve(spec, exact)
+    if isinstance(spec, CyclicWalkSpec):
+        kernels = (support_weight_kernel(spec), touched_weight_kernel(spec))
+
+        def row(support, touched):
+            tv = tv_to_uniform(support, spec.m)
+            return {"tv": tv, "separation_tail": separation_tail(touched), "l2_sq_bound": next(l2s)}
+
+    else:
+        kernels = (flip_weight_kernel(spec),)
+
+        def row(dist):
+            return {"tv": tv_to_uniform(dist), "l2_sq": next(l2s)}
+
+    start = WeightDistribution.delta(spec.n)
+    dists = [start if exact else start.to_float()] * len(kernels)
+    while True:
+        yield row(*dists)
+        dists = [evolve(dist, kernel, 1) for dist, kernel in zip(dists, kernels)]

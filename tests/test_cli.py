@@ -22,7 +22,7 @@ from cubemix import (
     WeightDistribution,
 )
 import cubemix
-from cubemix import cli, exactdist, spectrum
+from cubemix import cli, coupling, exactdist, spectrum
 from cubemix.cli import main
 
 
@@ -319,6 +319,14 @@ def test_bounds_json_reports(tmp_path):
     assert payload["log_convention"] == "natural (ln)"
 
 
+@pytest.mark.parametrize("argv", [["--n", "54", "--k", "27"], ["--n", "418", "--k", "7", "--m", "3"]])
+def test_bounds_json_keeps_its_four_top_level_keys(argv, tmp_path):
+    # the rows bounds hands _emit for its CSV are not part of its JSON
+    out = tmp_path / "bounds.json"
+    assert main(["bounds", *argv, "--output", str(out)]) == 0
+    assert list(json.loads(out.read_text())) == ["params", "log_convention", "reports", "reported_steps_comparison"]
+
+
 def test_bounds_with_modulus(tmp_path):
     out = tmp_path / "bounds.json"
     code = main(["bounds", "--n", "3", "--k", "1", "--m", "2", "--c", "0", "--output", str(out)])
@@ -548,6 +556,41 @@ def test_a_json_failing_partway_keeps_the_old_file(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_sanitize", sanitize)
     with pytest.raises(TypeError, match="not JSON serializable"):
         main(["tv", "--n", "6", "--k", "3", "--steps", "20", "--format", "json", "--output", str(out)])
+    assert out.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+
+def _failing_on_third_row(curve, error):
+    def failing(*args):
+        # the first two rows reach the temp file, the third raises
+        rows = curve(*args)
+        yield next(rows)
+        yield next(rows)
+        raise error
+
+    return failing
+
+
+@pytest.mark.parametrize(
+    "error", [ValueError("no third row"), OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))], ids=["ValueError", "ENOSPC"]
+)
+@pytest.mark.parametrize(
+    "argv,module,curve",
+    [
+        (["tv", "--n", "6", "--k", "3", "--steps", "20"], exactdist, "distance_curve"),
+        (["couple", "--n", "9", "--k", "3", "--trials", "20", "--steps", "20"], coupling, "_tail_curve"),
+    ],
+    ids=["tv", "couple"],
+)
+def test_a_csv_row_failing_partway_keeps_the_old_file(argv, module, curve, error, tmp_path, capsys, monkeypatch):
+    # CSV rows are computed as they are written, so an error in the third
+    # row lands mid-file: the temp file goes, the target stays as it was
+    out = tmp_path / "out.csv"
+    out.write_text("old\n")
+    monkeypatch.setattr(module, curve, _failing_on_third_row(getattr(module, curve), error))
+    assert main([*argv, "--output", str(out)]) == 1
+    want = f"cannot write {out}: {os.strerror(errno.ENOSPC)}" if isinstance(error, OSError) else "no third row"
+    assert capsys.readouterr().err.splitlines() == [f"cubemix: error: {want}"]
     assert out.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == [out.name]
 

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import itertools
 import math
 import pickle
 import random
@@ -292,6 +293,17 @@ def test_coupling_tail_curve_frozen_tiny_case():
     assert coupling_tail_curve(WalkSpec(2, 1), 5)[5] == Fraction(1, 16)
     with pytest.raises(ValueError):
         coupling_tail_curve(WalkSpec(2, 1), -1)
+
+
+@pytest.mark.parametrize("n,k,lmax", [(9, 3, 12), (401, 3, 20)])
+def test_coupling_tail_curve_is_the_head_of_the_tail_generator(n, k, lmax):
+    # exact at n = 9, floats from the full kernel above the cutoff; the list
+    # API is the generator's first lmax + 1 values, each as the list gives it
+    spec = WalkSpec(n, k)
+    head = list(itertools.islice(coupling._tail_curve(spec), lmax + 1))
+    assert all(type(v) is (Fraction if n <= numerics.EXACT_BACKEND_MAX_N else float) for v in head)
+    for l in (0, 1, lmax):
+        assert coupling_tail_curve(spec, l) == head[: l + 1]
 
 
 def test_float_coupling_tail_matches_exact(monkeypatch, binomial_start):

@@ -727,6 +727,42 @@ def _row_step(nums, rows):
     return [sum(rows[w].get(t, 0) * nums[w] for w in range(n + 1)) for t in range(n + 1)]
 
 
+def _stepped_reference(spec, exact, l):
+    """The curve's row at l the long way: evolve l steps from the origin, reduce, and read the l2 bound."""
+    start = WeightDistribution.delta(spec.n)
+    start = start if exact else start.to_float()
+    if isinstance(spec, CyclicWalkSpec):
+        return {
+            "tv": tv_to_uniform(evolve(start, support_weight_kernel(spec), l), spec.m),
+            "separation_tail": separation_tail(evolve(start, touched_weight_kernel(spec), l)),
+            "l2_sq_bound": zmn_l2_upper_bound(spec, l, exact),
+        }
+    return {"tv": tv_to_uniform(evolve(start, flip_weight_kernel(spec), l)), "l2_sq": l2_upper_bound(spec, l, exact)}
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize(
+    "spec",
+    [WalkSpec(n, k, p) for n, k in [(1, 1), (5, 2), (8, 3), (9, 4), (12, 5), (12, 6)] for p in (0, Fraction(1, 3), HALF)]
+    + [CyclicWalkSpec(n, m, k) for n, k in [(3, 1), (7, 2), (10, 3)] for m in (2, 3, 5)],
+    ids=repr,
+)
+def test_distance_curve_matches_stepped_reference(spec, exact):
+    # the same values, column for column, as stepping and reducing each l
+    # by hand: equal Fractions, and equal floats since the float steps and
+    # sums are the same operations in the same order
+    rows = list(itertools.islice(exactdist.distance_curve(spec, exact), 30))
+    for l, row in enumerate(rows):
+        want = _stepped_reference(spec, exact, l)
+        assert row == want, (spec, l)
+        assert all(type(v) is (Fraction if exact else float) for v in row.values()), (spec, l)
+
+
+def test_distance_curve_backend_defaults_to_use_exact():
+    assert type(next(exactdist.distance_curve(WalkSpec(EXACT_BACKEND_MAX_N, 3)))["tv"]) is Fraction
+    assert type(next(exactdist.distance_curve(CyclicWalkSpec(EXACT_BACKEND_MAX_N + 1, 3, 3)))["tv"]) is float
+
+
 def test_exact_evolve_matches_row_dict_oracle():
     # the oracle reads each kernel's rows, never its diagonals
     rng = random.Random(22)
